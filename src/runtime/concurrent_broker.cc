@@ -186,21 +186,22 @@ common::Status ConcurrentBroker::TryPublishBatch(const std::string& topic,
   }
   for (auto& [shard, group] : groups) {
     // Taken before the lambda steals `group`: the rejected branch still needs
-    // the count after a failed TryPost has consumed the moved-from vector.
+    // the count after the task has consumed the moved-from vector.
     const std::size_t group_size = group.size();
+    Task append = [pool = pool_, shard, topic, batch, group = std::move(group)] {
+      // One task appends the whole group; the owned Message is built once
+      // per record, here at append, from the batch's arena views.
+      pubsub::Broker* broker = pool->core(shard).broker.get();
+      const std::vector<PublishBatch::Staged>& records = batch->staged();
+      for (const Routed& r : group) {
+        const PublishBatch::Staged& s = records[r.index];
+        (void)broker->PublishSpan(topic, s.key, s.value, s.headers, r.partition);
+      }
+    };
+    // TryPostBatch always hands off: the shard appends this group while the
+    // producer stages its next batch.
     const bool rejected =
-        pool_->ShardFailingOver(shard) ||
-        !pool_->TryPost(shard, [pool = pool_, shard, topic, batch,
-                                group = std::move(group)] {
-          // One task appends the whole group; the owned Message is built
-          // once per record, here at append, from the batch's arena views.
-          pubsub::Broker* broker = pool->core(shard).broker.get();
-          const std::vector<PublishBatch::Staged>& records = batch->staged();
-          for (const Routed& r : group) {
-            const PublishBatch::Staged& s = records[r.index];
-            (void)broker->PublishSpan(topic, s.key, s.value, s.headers, r.partition);
-          }
-        });
+        pool_->ShardFailingOver(shard) || !pool_->TryPostBatch(shard, &append, 1);
     if (rejected) {
       const common::TimeMicros backoff = pool_->RetryAfterHint(shard);
       publish_rejected_->Increment(static_cast<std::int64_t>(group_size));

@@ -75,9 +75,10 @@ class ConcurrentBroker {
 
   // Batched fire-and-forget publish — the arena-backed hot path. Routes each
   // staged record (key hash, else the facade's round-robin cursor), groups
-  // records by owner shard, and posts ONE ring task per involved shard; the
-  // task appends its whole group in staging order via Broker::PublishSpan,
-  // so per-producer order per partition is preserved and the per-message
+  // records by owner shard, and posts ONE ring task per involved shard
+  // (always handed off to the shard's worker, never run on the caller); the
+  // task appends its whole group in staging order via Broker::PublishSpan, so
+  // per-producer order per partition is preserved and the per-message
   // closure/queue cost is amortized over the group. Groups post in shard
   // order and independently: on the first saturated (or failing-over) shard
   // the remaining groups are NOT posted, kUnavailable is returned with
@@ -98,11 +99,14 @@ class ConcurrentBroker {
 
   // Non-blocking acked publish (the network front-end's offset-ack path):
   // routes like TryPublish, but once the append executes on the owner shard
-  // `done` is invoked — on that shard's worker thread — with the assigned
-  // partition/offset. Backpressure is synchronous and loud exactly like
-  // TryPublish: on kUnavailable (queue full / failing over) `done` is never
-  // called and `retry_after` receives a nonzero backoff. `done` must not
-  // block (it runs inside the shard's task batch).
+  // `done` is invoked — on the thread that owns the shard — with the assigned
+  // partition/offset. That is the shard's worker, or the caller itself when
+  // it claimed the idle shard (ShardPool::TryPost), in which case `done` has
+  // run before TryPublishAsync returns; never a thread waiting in a blocking
+  // call. Backpressure is synchronous and loud exactly like TryPublish: on
+  // kUnavailable (queue full / failing over) `done` is never called and
+  // `retry_after` receives a nonzero backoff. `done` must not block or take
+  // a lock the caller holds (it runs under the shard's owner lock).
   common::Status TryPublishAsync(
       const std::string& topic, pubsub::Message msg,
       std::optional<pubsub::PartitionId> partition, common::TimeMicros* retry_after,
@@ -116,10 +120,11 @@ class ConcurrentBroker {
                                                            std::size_t max);
 
   // Non-blocking fetch for event-loop callers (pubsubd): the read runs on
-  // the partition's owner shard and `done` is invoked there with the batch.
-  // kUnavailable + retry_after when the shard queue is full (`done` never
-  // called); kNotFound/kInvalidArgument for bad topic/partition. `done`
-  // must not block.
+  // the partition's owner shard and `done` is invoked with the batch on the
+  // thread that owns the shard (possibly the caller, before this returns; see
+  // TryPublishAsync). kUnavailable + retry_after when the shard queue is full
+  // (`done` never called); kNotFound/kInvalidArgument for bad
+  // topic/partition. `done` must not block.
   common::Status TryFetchAsync(
       const std::string& topic, pubsub::PartitionId partition, pubsub::Offset offset,
       std::size_t max, common::TimeMicros* retry_after,
@@ -182,7 +187,8 @@ class ConcurrentBroker {
   // (pubsubd's COMMIT verb). One task on the partition's owner shard applies
   // the commit (when `commit_offset` is set) and then reads the committed
   // offset — so a read-back can never observe the pre-commit value — and
-  // invokes `done` (may be null) with it on the shard's thread. kUnavailable
+  // invokes `done` (may be null) with it on the thread that owns the shard
+  // (possibly the caller, before this returns; see TryPublishAsync). kUnavailable
   // + retry_after when the shard queue is full; `done` is then never called
   // and nothing was committed.
   common::Status TryCommitAsync(const pubsub::GroupId& group, pubsub::PartitionId partition,

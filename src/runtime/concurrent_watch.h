@@ -18,8 +18,11 @@
 //     delivered on it (W4); racing deliveries from other shards are dropped
 //     facade-side and counted (runtime.post_resync_drops).
 //
-// Callbacks run on shard worker threads, serialized per logical session by a
-// session mutex; user callbacks must not block.
+// Callbacks run on the thread that owns the delivering shard — its worker,
+// or a TryIngest caller that claimed the idle shard (then before TryIngest
+// returns); never a thread waiting in a blocking call. They are serialized
+// per logical session by a session mutex; user callbacks must not block or
+// take a lock an ingesting thread holds.
 #ifndef SRC_RUNTIME_CONCURRENT_WATCH_H_
 #define SRC_RUNTIME_CONCURRENT_WATCH_H_
 
@@ -69,9 +72,10 @@ class ConcurrentWatchService : public watch::Watchable, public watch::Ingester {
 
   // -- Watchable ----------------------------------------------------------------
 
-  // The callback may be invoked from shard worker threads (serialized per
-  // logical session). Destroy the returned handle only after the pool has
-  // stopped or from a non-worker thread.
+  // The callback is invoked on the thread that owns the delivering shard
+  // (serialized per logical session; see the file header). Destroy the
+  // returned handle only after the pool has stopped or from a thread that is
+  // not running shard tasks (not from inside a callback).
   std::unique_ptr<watch::WatchHandle> Watch(common::Key low, common::Key high,
                                             common::Version version,
                                             watch::WatchCallback* callback) override;

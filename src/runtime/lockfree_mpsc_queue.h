@@ -173,22 +173,19 @@ class LockFreeMpscQueue {
     }
   }
 
-  // Pops up to `max` items into `out` (appended), parking until at least one
-  // item is available or the queue is closed and drained. Returns the number
-  // popped; 0 means closed-and-drained. Single consumer only.
-  std::size_t PopBatch(std::vector<T>& out, std::size_t max) {
-    // Reserve before draining so push_back never allocates mid-drain.
-    out.reserve(out.size() + (max < capacity_ ? max : capacity_));
+  // Parks until the head slot is published or the queue is closed and
+  // drained; false only for the latter (the consumer should exit). Single
+  // consumer only.
+  bool WaitForWork() {
     for (;;) {
-      const std::size_t popped = DrainReady(out, max);
-      if (popped > 0) {
-        WakeProducers();
-        return popped;
+      const std::uint64_t head = head_.load(std::memory_order_relaxed);
+      if (slots_[head % capacity_].seq.load(std::memory_order_acquire) == head + 1) {
+        return true;
       }
       const std::uint64_t tail = tail_.load(std::memory_order_seq_cst);
       if ((tail & kClosedBit) != 0) {
-        if (head_.load(std::memory_order_relaxed) == (tail & ~kClosedBit)) {
-          return 0;  // Closed and fully drained: the consumer exits.
+        if (head == (tail & ~kClosedBit)) {
+          return false;  // Closed and fully drained: the consumer exits.
         }
         // A producer won its claim before Close but has not published yet;
         // its slot is instants away. Spin-yield rather than park (no one
@@ -198,6 +195,30 @@ class LockFreeMpscQueue {
       }
       ParkConsumer();
     }
+  }
+
+  // Pops up to `max` ready items into `out` (appended) without parking;
+  // returns the number popped. Single consumer only.
+  std::size_t TryPopBatch(std::vector<T>& out, std::size_t max) {
+    // Reserve before draining so push_back never allocates mid-drain.
+    out.reserve(out.size() + (max < capacity_ ? max : capacity_));
+    const std::size_t popped = DrainReady(out, max);
+    if (popped > 0) {
+      WakeProducers();
+    }
+    return popped;
+  }
+
+  // Pops up to `max` items into `out` (appended), parking until at least one
+  // item is available or the queue is closed and drained. Returns the number
+  // popped; 0 means closed-and-drained. Single consumer only.
+  std::size_t PopBatch(std::vector<T>& out, std::size_t max) {
+    while (WaitForWork()) {
+      if (const std::size_t popped = TryPopBatch(out, max)) {
+        return popped;
+      }
+    }
+    return 0;
   }
 
   // Closes the queue: the closed bit lands in the tail word, so no claim can

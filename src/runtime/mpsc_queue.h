@@ -118,17 +118,23 @@ class MpscQueue {
     return true;
   }
 
-  // Pops up to `max` items into `out` (appended), blocking until at least one
-  // item is available or the queue is closed and empty. Returns the number
-  // popped; 0 means closed-and-drained, i.e. the consumer should exit.
-  std::size_t PopBatch(std::vector<T>& out, std::size_t max) {
+  // Blocks until an item is queued or the queue is closed and empty.
+  // Returns false only for the latter: the consumer should exit.
+  bool WaitForWork() {
+    std::unique_lock<std::mutex> lock(mu_);
+    not_empty_.wait(lock, [this] { return closed_ || count_ > 0; });
+    return count_ > 0;
+  }
+
+  // Pops up to `max` items into `out` (appended) without blocking; returns
+  // the number popped. Single consumer, like PopBatch.
+  std::size_t TryPopBatch(std::vector<T>& out, std::size_t max) {
     // Reserve before taking the lock: push_back must never reallocate (or
     // throw) inside the critical section.
     out.reserve(out.size() + (max < ring_.size() ? max : ring_.size()));
     std::size_t popped = 0;
     {
-      std::unique_lock<std::mutex> lock(mu_);
-      not_empty_.wait(lock, [this] { return closed_ || count_ > 0; });
+      std::lock_guard<std::mutex> lock(mu_);
       while (popped < max && count_ > 0) {
         out.push_back(std::move(ring_[head_]));
         // Reset the drained slot: a moved-from task may still pin captured
@@ -144,6 +150,18 @@ class MpscQueue {
       not_full_.notify_all();
     }
     return popped;
+  }
+
+  // Pops up to `max` items into `out` (appended), blocking until at least one
+  // item is available or the queue is closed and empty. Returns the number
+  // popped; 0 means closed-and-drained, i.e. the consumer should exit.
+  std::size_t PopBatch(std::vector<T>& out, std::size_t max) {
+    while (WaitForWork()) {
+      if (const std::size_t popped = TryPopBatch(out, max)) {
+        return popped;
+      }
+    }
+    return 0;
   }
 
   // Closes the queue: subsequent pushes fail; the consumer drains what

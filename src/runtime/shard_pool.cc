@@ -29,6 +29,12 @@ bool PinCurrentThread(std::size_t cpu) {
 #endif
 }
 
+// True while this thread runs shard tasks: for a worker's whole life, for a
+// TryPost caller while it runs its claimed task. Such a thread never claims a
+// shard — a task that posts back to its own shard would otherwise try-lock an
+// owner lock it already holds.
+thread_local bool tls_runs_shard_tasks = false;
+
 }  // namespace
 
 ShardPool::ShardPool(RuntimeOptions options, common::MetricsRegistry* metrics)
@@ -44,6 +50,8 @@ ShardPool::ShardPool(RuntimeOptions options, common::MetricsRegistry* metrics)
   tasks_run_ = &metrics_->counter("runtime.tasks_run");
   batches_run_ = &metrics_->counter("runtime.batches_run");
   post_rejected_ = &metrics_->counter("runtime.post_rejected");
+  tasks_inline_ = &metrics_->counter("runtime.tasks_inline");
+  claim_idle_ = options_.durable_vfs == nullptr;
 
   cores_.reserve(options_.shards);
   queues_.reserve(options_.shards);
@@ -90,6 +98,7 @@ ShardPool::ShardPool(RuntimeOptions options, common::MetricsRegistry* metrics)
     }
     cores_.push_back(std::move(core));
     queues_.push_back(MakeTaskRing(options_.lockfree_ring, options_.queue_capacity));
+    owner_mu_.push_back(std::make_unique<std::mutex>());
     failing_over_.push_back(std::make_unique<std::atomic<bool>>(false));
   }
 }
@@ -128,16 +137,19 @@ void ShardPool::Start() {
 }
 
 void ShardPool::Stop() {
-  // The whole transition — close, join, flip running_ — happens under
-  // lifecycle_mu_, so Post's inline fallback (which takes the same lock)
-  // can never run a task on the caller's thread while a worker is still
-  // draining its queue. Before this, a Push that lost the race with Close
+  // The whole transition — flip running_, close, join, wait out claims —
+  // happens under lifecycle_mu_, so Post's inline fallback (which takes the
+  // same lock) can never run a task on the caller's thread while a worker is
+  // still draining its queue. Before this, a Push that lost the race with Close
   // fell back to inline execution concurrent with the worker — the
   // stall/teardown race runtime/subscription_test.cc pins down.
   std::lock_guard<std::recursive_mutex> lifecycle(lifecycle_mu_);
   if (!running_.load(std::memory_order_acquire)) {
     return;
   }
+  // Flip first: from here on TryPost neither claims a shard nor enqueues,
+  // and Post takes the inline fallback once this transition is done.
+  running_.store(false, std::memory_order_release);
   for (auto& queue : queues_) {
     queue->Close();
   }
@@ -145,7 +157,12 @@ void ShardPool::Stop() {
     worker.join();
   }
   workers_.clear();
-  running_.store(false, std::memory_order_release);
+  // A TryPost caller that claimed a shard before the flip may still be
+  // running its task; later claims re-check running_ under the owner lock
+  // and back off. Taking each lock once waits the stragglers out.
+  for (auto& owner : owner_mu_) {
+    std::lock_guard<std::mutex> wait_out(*owner);
+  }
 }
 
 void ShardPool::FlushSim(ShardCore& core) {
@@ -158,23 +175,28 @@ void ShardPool::FlushSim(ShardCore& core) {
 }
 
 void ShardPool::WorkerLoop(std::size_t shard) {
+  tls_runs_shard_tasks = true;
   ShardCore& core = *cores_[shard];
   TaskRing& queue = *queues_[shard];
+  std::mutex& owner = *owner_mu_[shard];
   std::vector<Task> batch;
   batch.reserve(options_.max_batch);
-  for (;;) {
-    batch.clear();
-    const std::size_t n = queue.PopBatch(batch, options_.max_batch);
-    if (n == 0) {
-      break;  // Closed and drained.
-    }
+  // Wait without the owner lock (an idle shard stays claimable), then pop,
+  // run and flush under it. Popping only under the lock is what keeps a
+  // claim from overtaking a queued task.
+  while (queue.WaitForWork()) {
+    std::lock_guard<std::mutex> lock(owner);
+    const std::size_t n = queue.TryPopBatch(batch, options_.max_batch);
     for (Task& task : batch) {
       task();
     }
     FlushSim(core);
+    // Destroy the tasks' captures while still the owner.
+    batch.clear();
     tasks_run_->Increment(static_cast<std::int64_t>(n));
     batches_run_->Increment();
   }
+  std::lock_guard<std::mutex> lock(owner);
   FlushSim(core);
 }
 
@@ -186,7 +208,36 @@ common::TimeMicros ShardPool::RetryAfterHint(std::size_t shard) const {
                     static_cast<common::TimeMicros>(cap);
 }
 
+bool ShardPool::TryRunInline(std::size_t shard, Task& task) {
+  TaskRing& queue = *queues_[shard];
+  // Unlocked pre-checks keep claimers off the owner lock while work is queued
+  // (the worker is about to take it) or the pool is stopping (Stop is about
+  // to take it): a claimer that barged in then would only delay them.
+  if (!claim_idle_ || tls_runs_shard_tasks || !running_.load(std::memory_order_acquire) ||
+      queue.size() != 0) {
+    return false;
+  }
+  std::unique_lock<std::mutex> owner(*owner_mu_[shard], std::try_to_lock);
+  // Both re-checked under the lock: running_ so Stop's wait-out is final,
+  // the ring so the task cannot overtake one already queued.
+  if (!owner.owns_lock() || !running_.load(std::memory_order_acquire) || queue.size() != 0) {
+    return false;
+  }
+  tls_runs_shard_tasks = true;
+  task();
+  FlushSim(*cores_[shard]);
+  task = nullptr;  // Captures die under the lock, as the worker's do.
+  tls_runs_shard_tasks = false;
+  tasks_run_->Increment();
+  batches_run_->Increment();
+  tasks_inline_->Increment();
+  return true;
+}
+
 bool ShardPool::TryPost(std::size_t shard, Task task) {
+  if (TryRunInline(shard, task)) {
+    return true;
+  }
   if (!running_.load(std::memory_order_acquire) || !queues_[shard]->TryPush(std::move(task))) {
     post_rejected_->Increment();
     return false;

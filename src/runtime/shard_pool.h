@@ -7,8 +7,18 @@
 // The design keeps the deterministic heart of the library untouched: no core
 // component grows a lock. Instead, *ownership* is the synchronization
 // discipline — a shard's core is touched only by (a) its worker thread while
-// running, (b) any thread while the pool is stopped or not yet started, or
-// (c) the caller of RunFenced while every worker is parked at the fence.
+// running, (b) any thread while the pool is stopped or not yet started,
+// (c) the caller of RunFenced while every worker is parked at the fence, or
+// (d) a TryPost caller that claimed the idle shard. Whoever runs a shard's
+// tasks holds that shard's owner lock: the worker takes it before popping a
+// batch and releases it after the batch's simulator flush, and TryPost
+// try-locks it — when the lock is free, the pool is running, and the ring is
+// empty, the caller runs its own task and the flush on its own thread (run
+// to completion: no enqueue, no worker wake). Since a task is only ever
+// popped under the lock, nothing queued can be overtaken by a claim, which
+// keeps per-producer FIFO. Blocking posts (Post, RunOn, fence barriers),
+// TryPostBatch, and every post to a durable pool always hand off. A thread
+// already running shard tasks never claims another shard.
 // Cross-shard operations (topic creation, group membership, multi-range
 // watches, seek-to-time, quiesce) are expressed as fenced multi-shard tasks.
 //
@@ -68,7 +78,8 @@ struct RuntimeOptions {
   // affinity call, the worker runs unpinned and the miss is visible in the
   // runtime.shards_pinned gauge (== shard count when fully pinned).
   bool pin_shards = false;
-  // Simulated time advanced per batch. 0 keeps every shard clock at 0, which
+  // Simulated time advanced per batch (a task a caller ran on an idle shard
+  // is a batch of one and advances it too). 0 keeps every shard clock at 0, which
   // makes runs bit-deterministic for the equivalence tests (periodic
   // maintenance like retention GC then never fires; size-capped retention
   // still applies on the append path). Nonzero ticks enable time-based
@@ -124,7 +135,7 @@ struct RuntimeOptions {
 };
 
 // One shard's single-threaded core. All members are confined to the shard's
-// worker thread per the ownership discipline above.
+// owner (see the ownership discipline above).
 struct ShardCore {
   std::unique_ptr<sim::Simulator> sim;
   std::unique_ptr<sim::Network> net;
@@ -157,9 +168,10 @@ class ShardPool {
   // topics for tests) before Start.
   void Start();
 
-  // Closes every queue, drains remaining tasks, joins the workers. After Stop
-  // the cores are plain single-threaded objects again (safe to inspect from
-  // the calling thread). Idempotent.
+  // Closes every queue, drains remaining tasks, joins the workers, then waits
+  // out any task a TryPost caller is still running on an idle shard. After
+  // Stop the cores are plain single-threaded objects again (safe to inspect
+  // from the calling thread). Idempotent.
   void Stop();
 
   bool running() const { return running_.load(std::memory_order_acquire); }
@@ -204,18 +216,25 @@ class ShardPool {
   // the base, a full ring the ceiling.
   common::TimeMicros RetryAfterHint(std::size_t shard) const;
 
-  // Non-blocking enqueue; false when the shard is saturated (counted as
-  // runtime.post_rejected) or the pool is stopped.
+  // Non-blocking post; false when the shard is saturated (counted as
+  // runtime.post_rejected) or the pool is stopped. On an idle shard of a
+  // non-durable pool the task runs to completion on the calling thread before
+  // TryPost returns (counted in runtime.tasks_inline, and in tasks_run /
+  // batches_run as a batch of one); otherwise it is enqueued for the worker.
+  // Either way the task runs under the shard's owner lock, so it must not
+  // block, and whatever it calls back into runs on the caller's thread.
   bool TryPost(std::size_t shard, Task task);
 
   // Non-blocking all-or-nothing batch enqueue: one ring claim admits every
   // task (preserving their order) or none. False — tasks untouched, one
   // rejection counted — when the shard lacks space for the whole batch or
-  // the pool is stopped. The batched-publish ingress path.
+  // the pool is stopped. The batched-publish ingress path; always hands off,
+  // so the producer stages its next batch while the shard appends this one.
   bool TryPostBatch(std::size_t shard, Task* tasks, std::size_t n);
 
-  // Blocking enqueue. If the pool is stopped, runs the task inline on the
-  // calling thread (the cores are then single-threaded-safe by definition).
+  // Blocking enqueue; always hands off to the worker while the pool runs. If
+  // the pool is stopped, runs the task inline on the calling thread (the
+  // cores are then single-threaded-safe by definition).
   void Post(std::size_t shard, Task task);
 
   // Runs `fn(core)` on the shard's worker thread and returns its result,
@@ -270,12 +289,21 @@ class ShardPool {
  private:
   void WorkerLoop(std::size_t shard);
   void FlushSim(ShardCore& core);
+  // TryPost's run-to-completion arm: runs `task` on the calling thread if it
+  // can claim the idle shard, else returns false with `task` untouched.
+  bool TryRunInline(std::size_t shard, Task& task);
 
   RuntimeOptions options_;
   std::unique_ptr<common::MetricsRegistry> owned_metrics_;
   common::MetricsRegistry* metrics_;
   std::vector<std::unique_ptr<ShardCore>> cores_;
   std::vector<std::unique_ptr<TaskRing>> queues_;
+  // Shard ownership: held by whoever runs the shard's tasks (see the file
+  // header).
+  std::vector<std::unique_ptr<std::mutex>> owner_mu_;
+  // TryPost may run on an idle shard (false for durable pools, whose appends
+  // may fsync and must not stall the caller).
+  bool claim_idle_ = true;
   std::vector<std::thread> workers_;
   // One flag per shard; set inside FailoverShard's fence so concurrent
   // producers can observe the teardown without touching the core.
@@ -294,6 +322,7 @@ class ShardPool {
   common::Counter* tasks_run_ = nullptr;
   common::Counter* batches_run_ = nullptr;
   common::Counter* post_rejected_ = nullptr;
+  common::Counter* tasks_inline_ = nullptr;
 };
 
 }  // namespace runtime

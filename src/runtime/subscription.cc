@@ -99,6 +99,8 @@ void Subscription::SetReadyHook(std::function<void()> hook) {
 
 void Subscription::FinishCut(const std::shared_ptr<Shared>& shared) {
   Shared& s = *shared;
+  // Count and log before broken() turns true: a consumer that observes the
+  // cut must also find its loud record.
   if (s.disconnect_count != nullptr) {
     s.disconnect_count->Increment();
   }
@@ -111,6 +113,7 @@ void Subscription::FinishCut(const std::shared_ptr<Shared>& shared) {
   std::function<void()> hook;
   {
     std::lock_guard<std::mutex> lock(s.mu);
+    s.broken = true;
     hook = s.ready_hook;
   }
   // Wake the consumer unconditionally (no coalescing): there may be no
@@ -176,8 +179,7 @@ void Subscription::PumpShard(const std::shared_ptr<Shared>& shared) {
           if (!pending) {
             break;  // space stays 0: skip the fetch loop, re-arm below.
           }
-          s.broken = true;
-          cut = true;
+          cut = true;  // FinishCut makes it visible as broken().
           break;
         }
       }
@@ -317,10 +319,12 @@ void Subscription::PumpShard(const std::shared_ptr<Shared>& shared) {
       }
     }
     if (ring) {
-      s.bell.Signal();
+      // Count before signalling: a consumer woken by this ring must find it
+      // in runtime.doorbell_rings.
       if (s.rings != nullptr) {
         s.rings->Increment();
       }
+      s.bell.Signal();
       if (hook) {
         hook();  // Socket-writer handoff: nudge the event-loop consumer.
       }

@@ -33,7 +33,8 @@
 // suites can assert both modes deliver identical sequences through one API.
 //
 // Threading: one consumer thread per Subscription (the doorbell's MPSC-like
-// contract); the shard side runs only on the owner shard's worker. All
+// contract); the shard side runs only on the thread that owns the shard — its
+// worker, or a TryPost caller that claimed the idle shard. All
 // shared state lives behind one mutex in a shared_ptr'd block, so a wakeup
 // in flight during teardown is harmless.
 #ifndef SRC_RUNTIME_SUBSCRIPTION_H_
@@ -129,8 +130,12 @@ class Subscription {
   bool broken() const;
 
   // Socket-writer handoff (the network front-end's consume discipline): the
-  // hook runs — on the owner shard's worker thread — whenever the doorbell
-  // rings, i.e. whenever buffered data became available to PollBatch. An
+  // hook runs — on the thread that owns the shard — whenever the doorbell
+  // rings, i.e. whenever buffered data became available to PollBatch. That
+  // is the shard's worker, or a publisher that claimed the idle shard
+  // (ShardPool::TryPost), in which case the hook runs inside its TryPublish;
+  // never a thread waiting in a blocking call. So the hook must not take a
+  // lock a publisher may hold while publishing. An
   // event-loop consumer that cannot park in Wait() registers a hook that
   // nudges its own wakeup primitive (pubsubd writes a self-pipe) and then
   // drains with PollBatch on its own thread. If data is already buffered at
@@ -211,12 +216,12 @@ class Subscription {
   Subscription(ShardPool* pool, std::size_t shard, std::shared_ptr<Shared> shared)
       : pool_(pool), shard_(shard), shared_(std::move(shared)) {}
 
-  // Runs on the owner shard's worker only: fetches available messages into
+  // Runs on the thread that owns the shard only: fetches available messages into
   // the handoff buffer, rings the bell, and re-arms the append waiter (or
   // applies the slow-consumer policy on a full buffer).
   static void PumpShard(const std::shared_ptr<Shared>& shared);
   // kDisconnect finalizer (shard thread): counts the disconnect, logs the
-  // kSessionBreak, and wakes the consumer so it observes broken().
+  // kSessionBreak, then sets broken and wakes the consumer to observe it.
   static void FinishCut(const std::shared_ptr<Shared>& shared);
 
   ShardPool* pool_;

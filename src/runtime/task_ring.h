@@ -30,7 +30,11 @@ class TaskRing {
   // All-or-nothing: accepts every task (moved out) or none (tasks untouched).
   virtual bool TryPushBatch(Task* tasks, std::size_t n) = 0;
   virtual bool Push(Task&& task) = 0;
-  virtual std::size_t PopBatch(std::vector<Task>& out, std::size_t max) = 0;
+  // Consumer side, split so the shard worker can take its owner lock
+  // between the two: WaitForWork blocks until a task is queued (false once
+  // closed and drained), TryPopBatch never blocks.
+  virtual bool WaitForWork() = 0;
+  virtual std::size_t TryPopBatch(std::vector<Task>& out, std::size_t max) = 0;
   virtual void Close() = 0;
   virtual void Reopen() = 0;
   virtual std::size_t size() const = 0;
@@ -48,8 +52,9 @@ class TaskRingImpl final : public TaskRing {
     return queue_.TryPushBatch(tasks, n);
   }
   bool Push(Task&& task) override { return queue_.Push(std::move(task)); }
-  std::size_t PopBatch(std::vector<Task>& out, std::size_t max) override {
-    return queue_.PopBatch(out, max);
+  bool WaitForWork() override { return queue_.WaitForWork(); }
+  std::size_t TryPopBatch(std::vector<Task>& out, std::size_t max) override {
+    return queue_.TryPopBatch(out, max);
   }
   void Close() override { queue_.Close(); }
   void Reopen() override { queue_.Reopen(); }

@@ -27,6 +27,12 @@ std::string PeerName(const sockaddr_in& addr) {
   return std::string(ip) + ":" + std::to_string(ntohs(addr.sin_port));
 }
 
+// The server whose loop runs on this thread, if any: a nudge or completion
+// raised by the loop itself (a task it ran on an idle shard) needs no
+// wake-pipe write — the iteration in progress drains and pumps after
+// dispatch.
+thread_local const Server* tls_loop_server = nullptr;
+
 }  // namespace
 
 // Shard-side callbacks (async publish/fetch/commit completions, subscription
@@ -47,7 +53,7 @@ struct Server::Completion {
 };
 
 // Cross-thread half of a watch stream: ConcurrentWatchService callbacks run
-// on shard worker threads and append here; the loop thread drains into
+// on the thread that owns the shard and append here; the loop drains into
 // WATCH_PUSH frames. `resynced` is terminal (the wire restatement of W4);
 // `dead` means the session side is gone and deliveries are dropped.
 struct Server::WatchQueue {
@@ -61,11 +67,8 @@ struct Server::WatchQueue {
 class Server::WatchFan : public watch::WatchCallback {
  public:
   WatchFan(std::shared_ptr<NudgeGate> gate, std::shared_ptr<WatchQueue> queue,
-           std::uint64_t session_id, std::size_t max_queue)
-      : gate_(std::move(gate)),
-        queue_(std::move(queue)),
-        session_id_(session_id),
-        max_queue_(max_queue) {}
+           std::size_t max_queue)
+      : gate_(std::move(gate)), queue_(std::move(queue)), max_queue_(max_queue) {}
 
   void OnEvent(const common::ChangeEvent& event) override {
     net::WatchItem item;
@@ -112,13 +115,12 @@ class Server::WatchFan : public watch::WatchCallback {
     }
     std::lock_guard<std::mutex> lock(gate_->mu);
     if (gate_->server != nullptr) {
-      gate_->server->Nudge(session_id_);
+      gate_->server->WakeLoop();
     }
   }
 
   std::shared_ptr<NudgeGate> gate_;
   std::shared_ptr<WatchQueue> queue_;
-  std::uint64_t session_id_;
   std::size_t max_queue_;
 };
 
@@ -246,16 +248,7 @@ void Server::Stop() {
   {
     std::lock_guard<std::mutex> lock(pending_mu_);
     completions_.clear();
-    ready_sessions_.clear();
   }
-}
-
-void Server::Nudge(std::uint64_t session_id) {
-  {
-    std::lock_guard<std::mutex> lock(pending_mu_);
-    ready_sessions_.push_back(session_id);
-  }
-  WakeLoop();
 }
 
 void Server::PushCompletion(std::uint64_t session_id, net::Verb verb, std::uint64_t request_id,
@@ -268,7 +261,7 @@ void Server::PushCompletion(std::uint64_t session_id, net::Verb verb, std::uint6
 }
 
 void Server::WakeLoop() {
-  if (!wake_tx_.valid()) {
+  if (tls_loop_server == this || !wake_tx_.valid()) {
     return;
   }
   const char b = 1;
@@ -282,6 +275,7 @@ Server::Session* Server::FindSession(std::uint64_t id) {
 }
 
 void Server::Loop() {
+  tls_loop_server = this;
   std::vector<pollfd> pfds;
   std::vector<std::uint64_t> order;
   while (!stop_.load(std::memory_order_acquire)) {
@@ -325,13 +319,6 @@ void Server::Loop() {
       while (::read(wake_rx_.get(), drain, sizeof(drain)) > 0) {
       }
     }
-    std::vector<Completion> completions;
-    {
-      std::lock_guard<std::mutex> lock(pending_mu_);
-      completions.swap(completions_);
-      ready_sessions_.clear();  // The unconditional pump below covers them.
-    }
-
     if (pfds[0].revents != 0) {
       AcceptNew();
     }
@@ -344,6 +331,13 @@ void Server::Loop() {
       if ((re & (POLLIN | POLLERR | POLLHUP | POLLNVAL)) != 0) {
         ReadSession(*s);  // EOF/errors surface through the read path.
       }
+    }
+    // Drained after dispatch, so a completion produced on this thread by a
+    // task the dispatch ran on an idle shard goes out in this iteration.
+    std::vector<Completion> completions;
+    {
+      std::lock_guard<std::mutex> lock(pending_mu_);
+      completions.swap(completions_);
     }
     for (Completion& c : completions) {
       Session* s = FindSession(c.session_id);
@@ -741,11 +735,10 @@ void Server::DispatchFrame(Session& s, const net::Frame& frame) {
         return;
       }
       const std::shared_ptr<NudgeGate> gate = gate_;
-      const std::uint64_t sid = s.id;
-      sub->SetReadyHook([gate, sid] {
+      sub->SetReadyHook([gate] {
         std::lock_guard<std::mutex> lock(gate->mu);
         if (gate->server != nullptr) {
-          gate->server->Nudge(sid);
+          gate->server->WakeLoop();
         }
       });
       SubStream stream;
@@ -777,8 +770,7 @@ void Server::DispatchFrame(Session& s, const net::Frame& frame) {
       }
       auto stream = std::make_unique<WatchStream>();
       stream->queue = std::make_shared<WatchQueue>();
-      stream->fan = std::make_unique<WatchFan>(gate_, stream->queue, s.id,
-                                               options_.max_watch_queue);
+      stream->fan = std::make_unique<WatchFan>(gate_, stream->queue, options_.max_watch_queue);
       if (req.has_filter) {
         // low/high and the filter's range are encoded to agree; intersecting
         // honors both if a foreign client ever disagrees.

@@ -12,6 +12,13 @@
 //     saturation comes back as an ERROR frame carrying the shard's
 //     retry_after hint, propagating backpressure to the remote producer
 //     instead of stalling every other connection.
+//   * Shard-side callbacks (async completions, subscription ready hooks,
+//     watch fan-out) run on the thread that owns the shard: its worker, or
+//     this loop itself when a Try* call claimed an idle shard — never while
+//     that thread waits. So no callback takes a lock the loop holds across a
+//     Try* call, the loop drains completions after dispatching a read, and a
+//     callback raised on the loop thread skips the wake-pipe write (the
+//     iteration in progress already covers it).
 //   * Long-poll SUBSCRIBE rides the event-driven runtime::Subscription: the
 //     owner shard pushes appends into the subscription's handoff lane and
 //     the subscription's ready hook nudges the loop through a self-pipe —
@@ -131,11 +138,10 @@ class Server {
   struct Completion;
 
   void Loop();
+  // Shard-side entry points (via the nudge gate). WakeLoop announces
+  // pushable data; PushCompletion enqueues a finished async response. Both
+  // wake the loop through the self-pipe unless called on the loop thread.
   void WakeLoop();
-  // Cross-thread entry points (shard-side callbacks, via the nudge gate):
-  // mark a session as having pushable data / enqueue a finished async
-  // response, then wake the loop.
-  void Nudge(std::uint64_t session_id);
   void PushCompletion(std::uint64_t session_id, net::Verb verb, std::uint64_t request_id,
                       std::string payload);
   void AcceptNew();
@@ -174,8 +180,7 @@ class Server {
   std::uint64_t next_session_id_ = 1;
 
   std::mutex pending_mu_;
-  std::vector<Completion> completions_;          // Shard threads → loop.
-  std::vector<std::uint64_t> ready_sessions_;    // Ready-hook nudges.
+  std::vector<Completion> completions_;          // Shard side → loop.
   std::shared_ptr<NudgeGate> gate_;              // Closed by Stop().
 
   // Hot counters resolved once.
