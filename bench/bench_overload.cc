@@ -119,7 +119,6 @@ PointResult RunPoint(const PointConfig& cfg) {
   options.shards = cfg.shards;
   options.queue_capacity = 4096;
   options.event_driven = true;
-  options.lockfree_ring = true;
   options.pin_shards = true;
   runtime::ShardPool pool(options);
   runtime::ConcurrentBroker broker(&pool);

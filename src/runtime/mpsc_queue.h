@@ -8,9 +8,12 @@
 // The implementation is a mutex + condvar ring. That is deliberate: every
 // operation is a handful of instructions under an uncontended lock, batched
 // dequeue amortizes the consumer's lock acquisitions over up to `max` tasks,
-// and the queue is trivially clean under ThreadSanitizer. Per-producer FIFO
-// order is preserved (a single producer's pushes drain in push order), which
-// the equivalence tests rely on.
+// and the queue is trivially clean under ThreadSanitizer. A CAS-claimed
+// lock-free ring measures as a tie against it at equal batch size (see
+// docs/RUNTIME.md); batching (TryPushBatch), not the ring, moves throughput.
+// Per-producer FIFO order is preserved (a single producer's pushes drain in
+// push order), which the equivalence tests rely on. Pushes take items by
+// rvalue only: the shard pool moves its tasks in.
 #ifndef SRC_RUNTIME_MPSC_QUEUE_H_
 #define SRC_RUNTIME_MPSC_QUEUE_H_
 
@@ -40,23 +43,6 @@ class MpscQueue {
         return false;
       }
       ring_[(head_ + count_) % ring_.size()] = std::move(item);
-      ++count_;
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
-  // Lvalue overload: copies, leaving the caller's value untouched either way.
-  // The full/closed check runs before the copy is made, so a rejected push
-  // under saturation costs no allocation (the copy is paid only for an
-  // accepted item, and it lands directly in the ring slot).
-  bool TryPush(const T& item) {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      if (closed_ || count_ == ring_.size()) {
-        return false;
-      }
-      ring_[(head_ + count_) % ring_.size()] = item;
       ++count_;
     }
     not_empty_.notify_one();
@@ -95,23 +81,6 @@ class MpscQueue {
         return false;
       }
       ring_[(head_ + count_) % ring_.size()] = std::move(item);
-      ++count_;
-    }
-    not_empty_.notify_one();
-    return true;
-  }
-
-  // Lvalue overload of the blocking push. Like TryPush, the closed check runs
-  // before the copy: a push rejected because the queue closed never pays for
-  // (or discards) a copy of the item.
-  bool Push(const T& item) {
-    {
-      std::unique_lock<std::mutex> lock(mu_);
-      not_full_.wait(lock, [this] { return closed_ || count_ < ring_.size(); });
-      if (closed_) {
-        return false;
-      }
-      ring_[(head_ + count_) % ring_.size()] = item;
       ++count_;
     }
     not_empty_.notify_one();

@@ -97,7 +97,7 @@ ShardPool::ShardPool(RuntimeOptions options, common::MetricsRegistry* metrics)
       }
     }
     cores_.push_back(std::move(core));
-    queues_.push_back(MakeTaskRing(options_.lockfree_ring, options_.queue_capacity));
+    queues_.push_back(std::make_unique<MpscQueue<Task>>(options_.queue_capacity));
     owner_mu_.push_back(std::make_unique<std::mutex>());
     failing_over_.push_back(std::make_unique<std::atomic<bool>>(false));
   }
@@ -177,7 +177,7 @@ void ShardPool::FlushSim(ShardCore& core) {
 void ShardPool::WorkerLoop(std::size_t shard) {
   tls_runs_shard_tasks = true;
   ShardCore& core = *cores_[shard];
-  TaskRing& queue = *queues_[shard];
+  MpscQueue<Task>& queue = *queues_[shard];
   std::mutex& owner = *owner_mu_[shard];
   std::vector<Task> batch;
   batch.reserve(options_.max_batch);
@@ -209,7 +209,7 @@ common::TimeMicros ShardPool::RetryAfterHint(std::size_t shard) const {
 }
 
 bool ShardPool::TryRunInline(std::size_t shard, Task& task) {
-  TaskRing& queue = *queues_[shard];
+  MpscQueue<Task>& queue = *queues_[shard];
   // Unlocked pre-checks keep claimers off the owner lock while work is queued
   // (the worker is about to take it) or the pool is stopping (Stop is about
   // to take it): a claimer that barged in then would only delay them.
@@ -264,7 +264,7 @@ void ShardPool::Post(std::size_t shard, Task task) {
   // and the cores are single-threaded again.
   std::lock_guard<std::recursive_mutex> lifecycle(lifecycle_mu_);
   task();
-  cores_[shard]->sim->RunUntil(cores_[shard]->sim->Now() + options_.tick);
+  FlushSim(*cores_[shard]);
 }
 
 void ShardPool::RunFenced(const std::function<void()>& fn) {

@@ -45,7 +45,7 @@
 #include "common/types.h"
 #include "obs/collector.h"
 #include "pubsub/broker.h"
-#include "runtime/task_ring.h"
+#include "runtime/mpsc_queue.h"
 #include "sim/network.h"
 #include "sim/simulator.h"
 #include "wal/broker_journal.h"
@@ -55,6 +55,8 @@
 
 namespace runtime {
 
+using Task = std::function<void()>;
+
 struct RuntimeOptions {
   // Number of shards (worker threads). Each owns a disjoint set of broker
   // partitions (partition p -> shard p % shards) and a contiguous watch
@@ -62,12 +64,6 @@ struct RuntimeOptions {
   std::size_t shards = 4;
   // Per-shard task queue bound; the backpressure threshold.
   std::size_t queue_capacity = 4096;
-  // Shard ingress ring implementation: false selects the mutex+condvar
-  // MpscQueue, true the CAS-claimed LockFreeMpscQueue. Same contract either
-  // way (the equivalence suites prove identical delivery sequences); the
-  // lock-free ring trades the per-operation lock for a CAS and parks only on
-  // the empty/full edges. See docs/RUNTIME.md and BENCH_runtime.json.
-  bool lockfree_ring = false;
   // Max tasks drained per batch (amortizes queue locking and sim flushing).
   std::size_t max_batch = 256;
   // Pin shard s's worker thread to CPU s (pthread affinity). The point of
@@ -297,7 +293,7 @@ class ShardPool {
   std::unique_ptr<common::MetricsRegistry> owned_metrics_;
   common::MetricsRegistry* metrics_;
   std::vector<std::unique_ptr<ShardCore>> cores_;
-  std::vector<std::unique_ptr<TaskRing>> queues_;
+  std::vector<std::unique_ptr<MpscQueue<Task>>> queues_;
   // Shard ownership: held by whoever runs the shard's tasks (see the file
   // header).
   std::vector<std::unique_ptr<std::mutex>> owner_mu_;
