@@ -23,7 +23,6 @@ Broker::~Broker() {
     sim_->After(0, std::move(waiter.fn));
   }
   waiter_index_.clear();
-  append_waiters_.clear();
   rebalance_waiters_.clear();
   interests_.clear();
 }
@@ -38,10 +37,8 @@ common::Status Broker::CreateTopic(const std::string& topic, TopicConfig config)
   Topic t;
   t.config = config;
   t.partitions.reserve(config.partitions);
-  t.interest.reserve(config.partitions);
   for (PartitionId p = 0; p < config.partitions; ++p) {
-    t.partitions.push_back(std::make_unique<PartitionLog>(config.retention));
-    t.interest.push_back(std::make_unique<InterestIndex>());
+    t.partitions.push_back(std::make_unique<Partition>(config.retention));
   }
   topics_.emplace(topic, std::move(t));
   return common::Status::Ok();
@@ -55,17 +52,8 @@ common::Status Broker::RemoveTopic(const std::string& topic) {
   // Fire every append waiter parked on the topic's partitions before the
   // registry entries vanish: long-pollers must wake and observe the removal
   // (their re-check finds the topic gone), never hang on a dead partition.
-  for (auto w = append_waiters_.begin(); w != append_waiters_.end();) {
-    if (w->first.first != topic) {
-      ++w;
-      continue;
-    }
-    for (const auto& [ticket, offset] : w->second) {
-      auto entry = waiter_index_.find(ticket);
-      sim_->After(0, std::move(entry->second.fn));
-      waiter_index_.erase(entry);
-    }
-    w = append_waiters_.erase(w);
+  for (auto& partition : it->second.partitions) {
+    FireAllAppendWaiters(*partition);
   }
   // Filtered interests on the topic die with it: parked match waiters fire
   // (wakers re-check and find the topic gone) and registrations are dropped
@@ -96,10 +84,8 @@ common::Status Broker::AddPartitions(const std::string& topic, PartitionId addit
   }
   Topic& t = it->second;
   t.partitions.reserve(t.partitions.size() + additional);
-  t.interest.reserve(t.interest.size() + additional);
   for (PartitionId p = 0; p < additional; ++p) {
-    t.partitions.push_back(std::make_unique<PartitionLog>(t.config.retention));
-    t.interest.push_back(std::make_unique<InterestIndex>());
+    t.partitions.push_back(std::make_unique<Partition>(t.config.retention));
   }
   t.config.partitions += additional;
   // The topic changed shape: every bound group rebalances now so the new
@@ -119,21 +105,23 @@ Broker::WaitTicket Broker::WaitForAppend(const std::string& topic, PartitionId p
   if (it == topics_.end() || partition >= it->second.config.partitions) {
     return 0;
   }
-  if (it->second.partitions[partition]->end_offset() > offset) {
+  Partition& part = *it->second.partitions[partition];
+  if (part.log.end_offset() > offset) {
     // Already satisfied: fire as an immediate event, no registration. The
     // caller's check-then-park loop treats this like any other wakeup.
     sim_->After(0, std::move(fn));
     return 0;
   }
   const WaitTicket ticket = next_wait_ticket_++;
-  waiter_index_.emplace(ticket, Waiter{topic, partition, offset, GroupId(), 0, std::move(fn)});
-  append_waiters_[{topic, partition}].emplace(ticket, offset);
+  waiter_index_.emplace_hint(waiter_index_.end(), ticket,
+                             Waiter{&part, GroupId(), 0, std::move(fn)});
+  part.waiters.push_back(AppendSlot{ticket, offset});
   return ticket;
 }
 
 Broker::WaitTicket Broker::WaitForRebalance(const GroupId& group, std::function<void()> fn) {
   const WaitTicket ticket = next_wait_ticket_++;
-  waiter_index_.emplace(ticket, Waiter{std::string(), 0, 0, group, 0, std::move(fn)});
+  waiter_index_.emplace_hint(waiter_index_.end(), ticket, Waiter{nullptr, group, 0, std::move(fn)});
   rebalance_waiters_[group].insert(ticket);
   return ticket;
 }
@@ -149,13 +137,13 @@ bool Broker::CancelWait(WaitTicket ticket) {
     if (in != interests_.end() && in->second.ticket == ticket) {
       in->second.ticket = 0;
     }
-  } else if (!w.topic.empty()) {
-    auto p = append_waiters_.find({w.topic, w.partition});
-    if (p != append_waiters_.end()) {
-      p->second.erase(ticket);
-      if (p->second.empty()) {
-        append_waiters_.erase(p);
-      }
+  } else if (w.partition != nullptr) {
+    std::vector<AppendSlot>& slots = w.partition->waiters;
+    auto slot = std::lower_bound(
+        slots.begin(), slots.end(), ticket,
+        [](const AppendSlot& s, WaitTicket t) { return s.ticket < t; });
+    if (slot != slots.end() && slot->ticket == ticket) {
+      slots.erase(slot);  // Ticket order is kept: the erase shifts, never swaps.
     }
   } else {
     auto g = rebalance_waiters_.find(w.group);
@@ -170,28 +158,32 @@ bool Broker::CancelWait(WaitTicket ticket) {
   return true;
 }
 
-void Broker::NotifyAppendWaiters(const std::string& topic, PartitionId partition, Offset end) {
-  auto it = append_waiters_.find({topic, partition});
-  if (it == append_waiters_.end()) {
-    return;
-  }
-  // Collect first (firing order = ticket order, deterministic), then erase:
-  // a fired callback runs later as its own event and may re-register.
-  std::vector<WaitTicket> due;
-  for (const auto& [ticket, offset] : it->second) {
-    if (offset < end) {
-      due.push_back(ticket);
+void Broker::NotifyAppendWaiters(Partition& partition) {
+  // Fire in slot (= ticket) order, compacting the survivors forward in the
+  // same pass. A fired callback runs later as its own event, so it cannot
+  // re-register into the vector being compacted.
+  const Offset end = partition.log.end_offset();
+  std::vector<AppendSlot>& slots = partition.waiters;
+  std::size_t kept = 0;
+  for (const AppendSlot& slot : slots) {
+    if (slot.offset >= end) {
+      slots[kept++] = slot;
+      continue;
     }
-  }
-  for (const WaitTicket ticket : due) {
-    auto w = waiter_index_.find(ticket);
+    auto w = waiter_index_.find(slot.ticket);
     sim_->After(0, std::move(w->second.fn));
     waiter_index_.erase(w);
-    it->second.erase(ticket);
   }
-  if (it->second.empty()) {
-    append_waiters_.erase(it);
+  slots.resize(kept);
+}
+
+void Broker::FireAllAppendWaiters(Partition& partition) {
+  for (const AppendSlot& slot : partition.waiters) {
+    auto w = waiter_index_.find(slot.ticket);
+    sim_->After(0, std::move(w->second.fn));
+    waiter_index_.erase(w);
   }
+  partition.waiters.clear();
 }
 
 std::uint64_t Broker::HashKey(std::string_view key) {
@@ -232,9 +224,12 @@ common::Result<PublishResult> Broker::Publish(const std::string& topic, Message 
       msg.trace.Stamp(obs::Stage::kAppend, obs::NowMicros());
     }
   }
-  const Offset offset = t.partitions[p]->Append(std::move(msg));
-  NotifyAppendWaiters(topic, p, t.partitions[p]->end_offset());
-  DispatchInterests(t, p);
+  Partition& part = *t.partitions[p];
+  const Offset offset = part.log.Append(std::move(msg));
+  if (!part.waiters.empty()) {
+    NotifyAppendWaiters(part);
+  }
+  DispatchInterests(part);
   return PublishResult{p, offset};
 }
 
@@ -253,12 +248,12 @@ common::Result<PublishResult> Broker::PublishSpan(const std::string& topic, std:
   return Publish(topic, std::move(msg), partition);
 }
 
-void Broker::DispatchInterests(Topic& t, PartitionId partition) {
-  InterestIndex& idx = *t.interest[partition];
+void Broker::DispatchInterests(Partition& partition) {
+  InterestIndex& idx = partition.interest;
   if (idx.subscriber_count() == 0) {
     return;
   }
-  const auto& entries = t.partitions[partition]->entries();
+  const auto& entries = partition.log.entries();
   if (entries.empty()) {
     return;  // A zero-size cap can drop the record at append time.
   }
@@ -305,7 +300,7 @@ Broker::InterestId Broker::AddInterest(const std::string& topic, PartitionId par
     return 0;
   }
   const InterestId id = next_interest_++;
-  it->second.interest[partition]->Add(id, std::move(filter));
+  it->second.partitions[partition]->interest.Add(id, std::move(filter));
   interests_.emplace(id, Interest{topic, partition, 0, 0});
   return id;
 }
@@ -321,7 +316,7 @@ bool Broker::RemoveInterest(InterestId id) {
   }
   auto t = topics_.find(interest.topic);
   if (t != topics_.end() && interest.partition < t->second.config.partitions) {
-    t->second.interest[interest.partition]->Remove(id);
+    t->second.partitions[interest.partition]->interest.Remove(id);
   }
   interests_.erase(it);
   return true;
@@ -337,8 +332,9 @@ Broker::WaitTicket Broker::WaitForMatch(InterestId id, Offset offset, std::funct
   if (t == topics_.end() || interest.partition >= t->second.config.partitions) {
     return 0;
   }
-  const PartitionLog& log = *t->second.partitions[interest.partition];
-  const Filter* filter = t->second.interest[interest.partition]->FilterOf(id);
+  const Partition& part = *t->second.partitions[interest.partition];
+  const PartitionLog& log = part.log;
+  const Filter* filter = part.interest.FilterOf(id);
   if (filter != nullptr && log.end_offset() > offset) {
     // A matching record may already be retained at or past `offset`: fire
     // immediately with no registration, mirroring WaitForAppend. The common
@@ -357,8 +353,8 @@ Broker::WaitTicket Broker::WaitForMatch(InterestId id, Offset offset, std::funct
     waiter_index_.erase(interest.ticket);  // Re-park replaces the old wakeup.
   }
   const WaitTicket ticket = next_wait_ticket_++;
-  waiter_index_.emplace(
-      ticket, Waiter{interest.topic, interest.partition, offset, GroupId(), id, std::move(fn)});
+  waiter_index_.emplace_hint(waiter_index_.end(), ticket,
+                             Waiter{nullptr, GroupId(), id, std::move(fn)});
   interest.ticket = ticket;
   interest.wait_offset = offset;
   return ticket;
@@ -380,7 +376,7 @@ common::Result<std::size_t> Broker::FetchFilteredInto(const std::string& topic,
   }
   const std::size_t before = out->size();
   std::uint64_t examined = 0;
-  const std::size_t appended = it->second.partitions[partition]->ScanInto(
+  const std::size_t appended = it->second.partitions[partition]->log.ScanInto(
       offset, max, max_scan,
       [&filter](const StoredMessage& m) { return filter.Matches(m.message); }, out, next_offset,
       &examined);
@@ -405,7 +401,7 @@ const InterestIndex* Broker::Interests(const std::string& topic, PartitionId par
   if (it == topics_.end() || partition >= it->second.config.partitions) {
     return nullptr;
   }
-  return it->second.interest[partition].get();
+  return &it->second.partitions[partition]->interest;
 }
 
 common::Result<std::vector<StoredMessage>> Broker::Fetch(const std::string& topic,
@@ -430,7 +426,7 @@ common::Result<std::size_t> Broker::FetchInto(const std::string& topic, Partitio
     return common::Status::InvalidArgument("partition out of range");
   }
   const std::size_t before = out->size();
-  const std::size_t appended = it->second.partitions[partition]->ReadInto(offset, max, out);
+  const std::size_t appended = it->second.partitions[partition]->log.ReadInto(offset, max, out);
   if (obs::TracingEnabled() && appended != 0) {  // Empty polls skip the clock read.
     const std::int64_t now = obs::NowMicros();
     for (std::size_t i = before; i < out->size(); ++i) {
@@ -450,7 +446,7 @@ common::Result<std::size_t> Broker::FetchSpans(const std::string& topic, Partiti
   if (partition >= it->second.config.partitions) {
     return common::Status::InvalidArgument("partition out of range");
   }
-  PartitionLog* log = it->second.partitions[partition].get();
+  PartitionLog* log = &it->second.partitions[partition]->log;
   if (pin != nullptr) {
     // Pin before reading; rebinding an already-held pin on the same log
     // overlaps the counts (new pin taken before the old releases), so the
@@ -465,7 +461,7 @@ Offset Broker::EndOffset(const std::string& topic, PartitionId partition) const 
   if (it == topics_.end() || partition >= it->second.config.partitions) {
     return 0;
   }
-  return it->second.partitions[partition]->end_offset();
+  return it->second.partitions[partition]->log.end_offset();
 }
 
 Offset Broker::FirstOffset(const std::string& topic, PartitionId partition) const {
@@ -473,7 +469,7 @@ Offset Broker::FirstOffset(const std::string& topic, PartitionId partition) cons
   if (it == topics_.end() || partition >= it->second.config.partitions) {
     return 0;
   }
-  return it->second.partitions[partition]->first_offset();
+  return it->second.partitions[partition]->log.first_offset();
 }
 
 common::Result<std::uint64_t> Broker::JoinGroup(const GroupId& group, const std::string& topic,
@@ -565,7 +561,7 @@ void Broker::SeekGroupToTime(const GroupId& group, const std::string& topic,
   for (PartitionId p = 0; p < it->second.config.partitions; ++p) {
     // First retained message at or after the timestamp; if everything is
     // older, land at the end (nothing replays).
-    const Offset target = it->second.partitions[p]->OffsetAtOrAfter(timestamp);
+    const Offset target = it->second.partitions[p]->log.OffsetAtOrAfter(timestamp);
     groups_[group].committed[p] = target;
     for (BrokerObserver* o : observers_) {
       o->OnSeek(group, p, target);
@@ -589,7 +585,7 @@ std::uint64_t Broker::GroupBacklog(const GroupId& group, const std::string& topi
   }
   std::uint64_t backlog = 0;
   for (PartitionId p = 0; p < t->second.config.partitions; ++p) {
-    const Offset end = t->second.partitions[p]->end_offset();
+    const Offset end = t->second.partitions[p]->log.end_offset();
     const Offset committed = CommittedOffset(group, p);
     backlog += end > committed ? end - committed : 0;
   }
@@ -603,7 +599,7 @@ std::uint64_t Broker::TotalGced(const std::string& topic) const {
   }
   std::uint64_t total = 0;
   for (const auto& p : t->second.partitions) {
-    total += p->gced();
+    total += p->log.gced();
   }
   return total;
 }
@@ -615,7 +611,7 @@ std::uint64_t Broker::TotalCompactedAway(const std::string& topic) const {
   }
   std::uint64_t total = 0;
   for (const auto& p : t->second.partitions) {
-    total += p->compacted_away();
+    total += p->log.compacted_away();
   }
   return total;
 }
@@ -627,7 +623,7 @@ std::uint64_t Broker::TotalSilentSkips(const std::string& topic) const {
   }
   std::uint64_t total = 0;
   for (const auto& p : t->second.partitions) {
-    total += p->silent_skips();
+    total += p->log.silent_skips();
   }
   return total;
 }
@@ -636,12 +632,12 @@ void Broker::EnforceRetention() {
   const common::TimeMicros now = sim_->Now();
   for (auto& [name, topic] : topics_) {
     const RetentionPolicy& policy = topic.config.retention;
-    for (auto& log : topic.partitions) {
+    for (auto& partition : topic.partitions) {
       if (policy.compacted && policy.compaction_window > 0) {
-        log->Compact(now - policy.compaction_window);
+        partition->log.Compact(now - policy.compaction_window);
       }
       if (policy.retention > 0) {
-        log->GcBefore(now - policy.retention);
+        partition->log.GcBefore(now - policy.retention);
       }
     }
   }
@@ -749,7 +745,7 @@ const PartitionLog* Broker::Log(const std::string& topic, PartitionId partition)
   if (it == topics_.end() || partition >= it->second.config.partitions) {
     return nullptr;
   }
-  return it->second.partitions[partition].get();
+  return &it->second.partitions[partition]->log;
 }
 
 const TopicConfig* Broker::TopicConfigFor(const std::string& topic) const {
@@ -762,7 +758,7 @@ PartitionLog* Broker::MutableLog(const std::string& topic, PartitionId partition
   if (it == topics_.end() || partition >= it->second.config.partitions) {
     return nullptr;
   }
-  return it->second.partitions[partition].get();
+  return &it->second.partitions[partition]->log;
 }
 
 void Broker::RestoreGroupState(const GroupId& group, const std::string& topic,

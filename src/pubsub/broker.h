@@ -346,11 +346,28 @@ class Broker {
                          Offset committed);
 
  private:
+  // One append waiter parked on a partition: its ticket and the offset it
+  // waits for. The callback lives in waiter_index_.
+  struct AppendSlot {
+    WaitTicket ticket;
+    Offset offset;
+  };
+
+  // One partition: its log, its filtered-interest index, and its parked
+  // append waiters. Tickets only grow, so `waiters` stays in ticket order by
+  // appending at the back; fires and cancels erase in place, keeping it.
+  struct Partition {
+    explicit Partition(const RetentionPolicy& retention) : log(retention) {}
+    PartitionLog log;
+    InterestIndex interest;
+    std::vector<AppendSlot> waiters;
+  };
+
   struct Topic {
     TopicConfig config;
-    std::vector<std::unique_ptr<PartitionLog>> partitions;
-    // Parallel to `partitions`: the per-partition filtered-interest index.
-    std::vector<std::unique_ptr<InterestIndex>> interest;
+    // Boxed so a Partition's address survives AddPartitions: append waiters
+    // point at their partition.
+    std::vector<std::unique_ptr<Partition>> partitions;
     PartitionId next_round_robin = 0;
   };
 
@@ -367,22 +384,21 @@ class Broker {
   void EnforceRetention();
   void SweepDeadMembers();
   void Rebalance(const GroupId& id, Group& group, const char* cause);
-  // Fires (and deregisters) every append waiter on (topic, partition) whose
-  // target offset is now available, i.e. offset < end.
-  void NotifyAppendWaiters(const std::string& topic, PartitionId partition, Offset end);
+  // Fires (and deregisters), in ticket order, every append waiter on
+  // `partition` whose target offset is now available, i.e. offset < end.
+  void NotifyAppendWaiters(Partition& partition);
+  // Fires every waiter parked in `partition.waiters`, in ticket order.
+  void FireAllAppendWaiters(Partition& partition);
 
   // Fires parked WaitForMatch wakeups whose filters match the record just
-  // appended to (topic, partition) — the O(matching) append fanout path.
-  void DispatchInterests(Topic& t, PartitionId partition);
+  // appended to `partition` — the O(matching) append fanout path.
+  void DispatchInterests(Partition& partition);
 
   // One parked long-poll wakeup. Exactly one key is meaningful: data waiters
-  // carry (topic, partition, offset); rebalance waiters carry the group id;
-  // filtered match waiters carry an interest id (plus topic/partition for
-  // observability).
+  // carry the partition whose slot vector holds their ticket; rebalance
+  // waiters carry the group id; filtered match waiters carry an interest id.
   struct Waiter {
-    std::string topic;
-    PartitionId partition = 0;
-    Offset offset = 0;
+    Partition* partition = nullptr;
     GroupId group;
     InterestId interest = 0;
     std::function<void()> fn;
@@ -406,11 +422,10 @@ class Broker {
   std::unique_ptr<sim::PeriodicTask> maintenance_;
   obs::Collector* obs_ = nullptr;
   std::size_t obs_shard_ = 0;
-  // The waiter registry. waiter_index_ owns the waiters; the per-partition
-  // and per-group maps index into it by ticket so the append hot path only
-  // touches its own partition's parked set.
+  // The waiter registry. waiter_index_ owns the waiters; each partition's
+  // slot vector (Partition::waiters) and the per-group map index into it by
+  // ticket, so the append hot path only touches its own partition's slots.
   std::map<WaitTicket, Waiter> waiter_index_;
-  std::map<std::pair<std::string, PartitionId>, std::map<WaitTicket, Offset>> append_waiters_;
   std::map<GroupId, std::set<WaitTicket>> rebalance_waiters_;
   WaitTicket next_wait_ticket_ = 1;
   // Filtered-interest registry; ids are globally unique across the broker so

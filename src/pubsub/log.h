@@ -81,14 +81,7 @@ class PartitionLog {
   // `*out` (not cleared), reusing its capacity. Returns the number appended.
   std::size_t ReadInto(Offset from, std::size_t max, std::vector<StoredMessage>* out) const {
     const std::size_t before = out->size();
-    // Offsets are sorted but not dense (compaction leaves gaps), so position
-    // by binary search rather than scanning from the retained head — an
-    // event-driven pump fetching small batches per wakeup would otherwise
-    // pay O(retained log) per fetch.
-    auto it = std::lower_bound(
-        log_.begin(), log_.end(), from,
-        [](const StoredMessage& m, Offset offset) { return m.offset < offset; });
-    for (; it != log_.end(); ++it) {
+    for (auto it = Seek(from); it != log_.end(); ++it) {
       out->push_back(*it);
       if (max != 0 && out->size() - before >= max) {
         break;
@@ -112,10 +105,7 @@ class PartitionLog {
   // Same silent-reset semantics and accounting as ReadInto.
   std::size_t ReadSpansInto(Offset from, std::size_t max, std::vector<MessageSpan>* out) const {
     const std::size_t before = out->size();
-    auto it = std::lower_bound(
-        log_.begin(), log_.end(), from,
-        [](const StoredMessage& m, Offset offset) { return m.offset < offset; });
-    for (; it != log_.end(); ++it) {
+    for (auto it = Seek(from); it != log_.end(); ++it) {
       const Message& m = it->message;
       out->push_back(MessageSpan{it->offset, m.key, m.value, m.publish_time,
                                  m.headers.empty() ? nullptr : &m.headers});
@@ -145,9 +135,7 @@ class PartitionLog {
                        std::vector<StoredMessage>* out, Offset* next_offset,
                        std::uint64_t* scanned = nullptr) const {
     const std::size_t before = out->size();
-    auto it = std::lower_bound(
-        log_.begin(), log_.end(), from,
-        [](const StoredMessage& m, Offset offset) { return m.offset < offset; });
+    auto it = Seek(from);
     if (it != log_.end() && it->offset > from) {
       silent_skips_ += it->offset - from;
     } else if (it == log_.end() && from < first_offset()) {
@@ -271,6 +259,29 @@ class PartitionLog {
 
  private:
   friend class ReadPin;
+
+  // The first retained record with offset >= `from`. Offsets are strictly
+  // increasing, so the record at index (from - first) has offset >= from: on a
+  // gap-free log it is exactly `from` (O(1), the caught-up fetch), and after
+  // compaction gaps the target lies at or before that index, so the binary
+  // search only covers [begin, begin + index).
+  std::deque<StoredMessage>::const_iterator Seek(Offset from) const {
+    if (log_.empty() || from <= log_.front().offset) {
+      return log_.begin();
+    }
+    if (from >= next_offset_) {
+      return log_.end();
+    }
+    const Offset index = from - log_.front().offset;
+    if (index < log_.size() && log_[index].offset == from) {
+      return log_.begin() + static_cast<std::ptrdiff_t>(index);
+    }
+    const auto bound = log_.begin() + static_cast<std::ptrdiff_t>(
+                                          std::min<Offset>(index, log_.size()));
+    return std::lower_bound(
+        log_.begin(), bound, from,
+        [](const StoredMessage& m, Offset offset) { return m.offset < offset; });
+  }
 
   void AddPin() { ++pins_; }
   void ReleasePin() {

@@ -113,9 +113,10 @@ common::Status ConcurrentBroker::TryPublish(const std::string& topic, pubsub::Me
   const std::size_t shard = OwnerShard(p);
   // Every kUnavailable exit populates retry_after with a nonzero, bounded,
   // depth-scaled backoff — a zero (or untouched) hint makes callers
-  // retry-spin, an unbounded one strands them.
-  const common::TimeMicros backoff = pool_->RetryAfterHint(shard);
+  // retry-spin, an unbounded one strands them. The hint is read only on a
+  // refusal: an accepted publish never pays for it.
   if (pool_->ShardFailingOver(shard)) {
+    const common::TimeMicros backoff = pool_->RetryAfterHint(shard);
     publish_rejected_->Increment();
     if (retry_after != nullptr) {
       *retry_after = backoff;
@@ -137,6 +138,7 @@ common::Status ConcurrentBroker::TryPublish(const std::string& topic, pubsub::Me
         (void)pool->core(shard).broker->Publish(topic, std::move(msg), p);
       });
   if (!posted) {
+    const common::TimeMicros backoff = pool_->RetryAfterHint(shard);
     publish_rejected_->Increment();
     if (retry_after != nullptr) {
       *retry_after = backoff;
@@ -257,8 +259,8 @@ common::Status ConcurrentBroker::TryPublishAsync(
   }
   const pubsub::PartitionId p = *routed;
   const std::size_t shard = OwnerShard(p);
-  const common::TimeMicros backoff = pool_->RetryAfterHint(shard);
   if (pool_->ShardFailingOver(shard)) {
+    const common::TimeMicros backoff = pool_->RetryAfterHint(shard);
     publish_rejected_->Increment();
     if (retry_after != nullptr) {
       *retry_after = backoff;
@@ -278,6 +280,7 @@ common::Status ConcurrentBroker::TryPublishAsync(
         done(pool->core(shard).broker->Publish(topic, std::move(msg), p));
       });
   if (!posted) {
+    const common::TimeMicros backoff = pool_->RetryAfterHint(shard);
     publish_rejected_->Increment();
     if (retry_after != nullptr) {
       *retry_after = backoff;

@@ -17,6 +17,7 @@
 #ifndef SRC_RUNTIME_MPSC_QUEUE_H_
 #define SRC_RUNTIME_MPSC_QUEUE_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <mutex>
@@ -44,6 +45,7 @@ class MpscQueue {
       }
       ring_[(head_ + count_) % ring_.size()] = std::move(item);
       ++count_;
+      MirrorSize();
     }
     not_empty_.notify_one();
     return true;
@@ -65,6 +67,7 @@ class MpscQueue {
         ring_[(head_ + count_) % ring_.size()] = std::move(items[i]);
         ++count_;
       }
+      MirrorSize();
     }
     not_empty_.notify_one();
     return true;
@@ -82,6 +85,7 @@ class MpscQueue {
       }
       ring_[(head_ + count_) % ring_.size()] = std::move(item);
       ++count_;
+      MirrorSize();
     }
     not_empty_.notify_one();
     return true;
@@ -96,7 +100,7 @@ class MpscQueue {
   }
 
   // Pops up to `max` items into `out` (appended) without blocking; returns
-  // the number popped. Single consumer, like PopBatch.
+  // the number popped. Single consumer.
   std::size_t TryPopBatch(std::vector<T>& out, std::size_t max) {
     // Reserve before taking the lock: push_back must never reallocate (or
     // throw) inside the critical section.
@@ -114,6 +118,7 @@ class MpscQueue {
         --count_;
         ++popped;
       }
+      MirrorSize();
     }
     if (popped > 0) {
       not_full_.notify_all();
@@ -121,20 +126,8 @@ class MpscQueue {
     return popped;
   }
 
-  // Pops up to `max` items into `out` (appended), blocking until at least one
-  // item is available or the queue is closed and empty. Returns the number
-  // popped; 0 means closed-and-drained, i.e. the consumer should exit.
-  std::size_t PopBatch(std::vector<T>& out, std::size_t max) {
-    while (WaitForWork()) {
-      if (const std::size_t popped = TryPopBatch(out, max)) {
-        return popped;
-      }
-    }
-    return 0;
-  }
-
   // Closes the queue: subsequent pushes fail; the consumer drains what
-  // remains and then PopBatch returns 0.
+  // remains and then WaitForWork returns false.
   void Close() {
     {
       std::lock_guard<std::mutex> lock(mu_);
@@ -151,10 +144,10 @@ class MpscQueue {
     closed_ = false;
   }
 
-  std::size_t size() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return count_;
-  }
+  // Lock-free read of the depth: a claimer's emptiness checks and the retry
+  // hint read it on every inline publish. It is exact for the calling
+  // thread's own pushes and for pops made under a lock it has since taken.
+  std::size_t size() const { return size_.load(std::memory_order_acquire); }
 
   std::size_t capacity() const { return ring_.size(); }
 
@@ -164,12 +157,17 @@ class MpscQueue {
   }
 
  private:
+  // Copies count_ into its lock-free mirror; call with mu_ held.
+  void MirrorSize() { size_.store(count_, std::memory_order_release); }
+
   mutable std::mutex mu_;
   std::condition_variable not_empty_;
   std::condition_variable not_full_;
   std::vector<T> ring_;
   std::size_t head_ = 0;   // Index of the oldest element.
   std::size_t count_ = 0;  // Elements currently queued.
+  // Mirror of count_, written under mu_ and read without it by size().
+  std::atomic<std::size_t> size_{0};
   bool closed_ = false;
 };
 

@@ -208,36 +208,34 @@ common::TimeMicros ShardPool::RetryAfterHint(std::size_t shard) const {
                     static_cast<common::TimeMicros>(cap);
 }
 
-bool ShardPool::TryRunInline(std::size_t shard, Task& task) {
-  MpscQueue<Task>& queue = *queues_[shard];
+std::unique_lock<std::mutex> ShardPool::ClaimIdle(std::size_t shard) {
+  const MpscQueue<Task>& queue = *queues_[shard];
   // Unlocked pre-checks keep claimers off the owner lock while work is queued
   // (the worker is about to take it) or the pool is stopping (Stop is about
   // to take it): a claimer that barged in then would only delay them.
   if (!claim_idle_ || tls_runs_shard_tasks || !running_.load(std::memory_order_acquire) ||
       queue.size() != 0) {
-    return false;
+    return {};
   }
   std::unique_lock<std::mutex> owner(*owner_mu_[shard], std::try_to_lock);
   // Both re-checked under the lock: running_ so Stop's wait-out is final,
   // the ring so the task cannot overtake one already queued.
   if (!owner.owns_lock() || !running_.load(std::memory_order_acquire) || queue.size() != 0) {
-    return false;
+    return {};
   }
   tls_runs_shard_tasks = true;
-  task();
+  return owner;
+}
+
+void ShardPool::FinishClaimed(std::size_t shard) {
   FlushSim(*cores_[shard]);
-  task = nullptr;  // Captures die under the lock, as the worker's do.
   tls_runs_shard_tasks = false;
   tasks_run_->Increment();
   batches_run_->Increment();
   tasks_inline_->Increment();
-  return true;
 }
 
-bool ShardPool::TryPost(std::size_t shard, Task task) {
-  if (TryRunInline(shard, task)) {
-    return true;
-  }
+bool ShardPool::Enqueue(std::size_t shard, Task task) {
   if (!running_.load(std::memory_order_acquire) || !queues_[shard]->TryPush(std::move(task))) {
     post_rejected_->Increment();
     return false;

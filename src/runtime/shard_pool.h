@@ -218,8 +218,23 @@ class ShardPool {
   // TryPost returns (counted in runtime.tasks_inline, and in tasks_run /
   // batches_run as a batch of one); otherwise it is enqueued for the worker.
   // Either way the task runs under the shard's owner lock, so it must not
-  // block, and whatever it calls back into runs on the caller's thread.
-  bool TryPost(std::size_t shard, Task task);
+  // block, and whatever it calls back into runs on the caller's thread. Any
+  // callable is accepted: a task run on the caller's thread is never wrapped
+  // in a Task (the wrap is a heap allocation); only an enqueue wraps it.
+  template <typename F>
+  bool TryPost(std::size_t shard, F&& task) {
+    if (std::unique_lock<std::mutex> owner = ClaimIdle(shard); owner.owns_lock()) {
+      {
+        // Run a local copy (a move for rvalues) so the captures die here,
+        // under the owner lock, as the worker's do.
+        std::decay_t<F> run(std::forward<F>(task));
+        run();
+      }
+      FinishClaimed(shard);
+      return true;
+    }
+    return Enqueue(shard, Task(std::forward<F>(task)));
+  }
 
   // Non-blocking all-or-nothing batch enqueue: one ring claim admits every
   // task (preserving their order) or none. False — tasks untouched, one
@@ -285,9 +300,15 @@ class ShardPool {
  private:
   void WorkerLoop(std::size_t shard);
   void FlushSim(ShardCore& core);
-  // TryPost's run-to-completion arm: runs `task` on the calling thread if it
-  // can claim the idle shard, else returns false with `task` untouched.
-  bool TryRunInline(std::size_t shard, Task& task);
+  // TryPost's run-to-completion arm. ClaimIdle returns the shard's owner
+  // lock, held, when the calling thread may run a task on the idle shard
+  // (and marks the thread as running shard tasks); otherwise an unheld lock.
+  // FinishClaimed flushes the shard's simulator and counts the claimed task;
+  // call it with the lock still held.
+  std::unique_lock<std::mutex> ClaimIdle(std::size_t shard);
+  void FinishClaimed(std::size_t shard);
+  // TryPost's hand-off arm: enqueues `task`, or counts a rejection.
+  bool Enqueue(std::size_t shard, Task task);
 
   RuntimeOptions options_;
   std::unique_ptr<common::MetricsRegistry> owned_metrics_;

@@ -189,7 +189,6 @@ void Subscription::PumpShard(const std::shared_ptr<Shared>& shared) {
     FinishCut(shared);
     return;
   }
-  bool pushed_any = false;
   const bool filtered = s.filter.has_value();
   if (filtered && s.interest_broker != broker) {
     // First pump, or failover swapped the shard's broker (the registration
@@ -198,6 +197,47 @@ void Subscription::PumpShard(const std::shared_ptr<Shared>& shared) {
     s.interest_id = broker->AddInterest(s.topic, s.partition, *s.filter);
     s.interest_broker = broker;
   }
+  bool pushed_any = false;
+  bool ring = false;
+  std::function<void()> hook;
+  // The pump's last critical section (s.mu held): the moderated ring
+  // decision and the re-arm. A caught-up record's pump runs it in the same
+  // critical section as its push, so the record takes s.mu once after the
+  // fetch.
+  //
+  // Interrupt moderation: a push after a quiet stream rings at once (idle
+  // wakeup latency is one futex from the append); within the coalesce
+  // window after a ring the consumer is either awake and draining or due
+  // for its bounded re-check park, so further rings would only buy context
+  // switches. Each wakeup then drains a window's worth of messages instead
+  // of one push's worth. A half-full buffer rings through the window (the
+  // NIC rx-frames companion to the rx-usecs timer): a parked consumer must
+  // not sleep out its park while a refilled lane sits ready to swap.
+  auto settle = [&](std::int64_t now) {
+    if (pushed_any) {
+      ring = s.wake_coalesce_us <= 0 || now - s.last_ring_us >= s.wake_coalesce_us ||
+             s.buffer.size() >= s.handoff_capacity / 2;
+      if (ring) {
+        s.last_ring_us = now;
+        hook = s.ready_hook;
+      }
+    }
+    if (s.detached || s.stalled || s.broken) {
+      return;
+    }
+    // Caught up: re-arm on the shard broker. If data landed between the last
+    // fetch and here (same thread, so it cannot have), the wait would fire an
+    // immediate pump; either way no append is missed. Filtered subscriptions
+    // park on WaitForMatch, so only a matching append wakes this pump.
+    auto self = shared;
+    if (filtered) {
+      s.ticket = broker->WaitForMatch(s.interest_id, s.cursor, [self] { PumpShard(self); });
+    } else {
+      s.ticket = broker->WaitForAppend(s.topic, s.partition, s.cursor,
+                                       [self] { PumpShard(self); });
+    }
+  };
+  bool settled = false;
   for (;;) {
     // Fetch outside the lock: the broker is shard-confined, the buffer is
     // not, and neither needs the other's protection. The scratch vector is
@@ -241,109 +281,78 @@ void Subscription::PumpShard(const std::shared_ptr<Shared>& shared) {
       cursor = s.cursor = std::max(s.cursor, next);
       continue;
     }
-    {
-      std::lock_guard<std::mutex> lock(s.mu);
-      if (s.detached) {
-        return;
+    // A short batch means the log is drained (appends run on this same shard
+    // thread, so none landed meanwhile): this round is the pump's last, and
+    // the empty terminator fetch is skipped.
+    bool last = !filtered && got < want;
+    const std::int64_t now = SteadyMicros();
+    std::lock_guard<std::mutex> lock(s.mu);
+    if (s.detached) {
+      return;
+    }
+    const bool was_empty = s.buffer.empty();
+    if (was_empty) {
+      s.buffer.swap(s.scratch);  // O(1); capacities circulate between lanes.
+    } else {
+      for (pubsub::StoredMessage& m : s.scratch) {
+        s.buffer.push_back(std::move(m));
       }
-      const bool was_empty = s.buffer.empty();
-      if (was_empty) {
-        s.buffer.swap(s.scratch);  // O(1); capacities circulate between lanes.
+    }
+    // Filtered scans can advance the cursor past the last *matching*
+    // record, so take the scan cursor, not back().offset + 1.
+    cursor = s.cursor = std::max(next, s.buffer.back().offset + 1);
+    pushed_any = true;
+    if (was_empty && s.data_ready_at_us < 0) {
+      s.data_ready_at_us = now;
+    }
+    if (s.policy == SlowConsumerPolicy::kDropOldest && s.buffer.size() > s.handoff_capacity) {
+      // The lane overflowed: evict from the front (oldest first) back to
+      // the bound. Every eviction is counted — loss is exact, never silent.
+      const std::size_t excess = s.buffer.size() - s.handoff_capacity;
+      s.buffer.erase(s.buffer.begin(), s.buffer.begin() + static_cast<std::ptrdiff_t>(excess));
+      s.drops += excess;
+      if (s.drop_count != nullptr) {
+        s.drop_count->Increment(static_cast<std::int64_t>(excess));
+      }
+    }
+    space = s.handoff_capacity - s.buffer.size();
+    if (space == 0) {
+      if (s.policy == SlowConsumerPolicy::kBlock) {
+        s.stalled = true;
+        if (s.stall_count != nullptr) {
+          s.stall_count->Increment();
+        }
+        last = true;
+      } else if (s.policy == SlowConsumerPolicy::kDisconnect) {
+        // Full but not yet overflowed: re-arm with the buffer at capacity.
+        // If the consumer drains first, nothing happened; if the waiter
+        // fires first (more data, no room), the entry path cuts.
+        last = true;
       } else {
-        for (pubsub::StoredMessage& m : s.scratch) {
-          s.buffer.push_back(std::move(m));
-        }
-      }
-      // Filtered scans can advance the cursor past the last *matching*
-      // record, so take the scan cursor, not back().offset + 1.
-      cursor = s.cursor = std::max(next, s.buffer.back().offset + 1);
-      pushed_any = true;
-      if (was_empty && s.data_ready_at_us < 0) {
-        s.data_ready_at_us = SteadyMicros();
-      }
-      if (s.policy == SlowConsumerPolicy::kDropOldest &&
-          s.buffer.size() > s.handoff_capacity) {
-        // The lane overflowed: evict from the front (oldest first) back to
-        // the bound. Every eviction is counted — loss is exact, never silent.
-        const std::size_t excess = s.buffer.size() - s.handoff_capacity;
-        s.buffer.erase(s.buffer.begin(),
-                       s.buffer.begin() + static_cast<std::ptrdiff_t>(excess));
-        s.drops += excess;
-        if (s.drop_count != nullptr) {
-          s.drop_count->Increment(static_cast<std::int64_t>(excess));
-        }
-      }
-      space = s.handoff_capacity - s.buffer.size();
-      if (space == 0) {
-        if (s.policy == SlowConsumerPolicy::kBlock) {
-          s.stalled = true;
-          if (s.stall_count != nullptr) {
-            s.stall_count->Increment();
-          }
-          break;
-        }
-        if (s.policy == SlowConsumerPolicy::kDisconnect) {
-          // Full but not yet overflowed: re-arm below with the buffer at
-          // capacity. If the consumer drains first, nothing happened; if the
-          // waiter fires first (more data, no room), the entry path cuts.
-          break;
-        }
         space = s.shard_batch;  // kDropOldest: evictions keep making room.
       }
     }
-    if (!filtered && got < want) {
-      // Short batch means the log is drained (appends run on this same shard
-      // thread, so none landed meanwhile): skip the empty terminator fetch.
+    if (last) {
+      settle(now);
+      settled = true;
       break;
     }
   }
-  if (pushed_any) {
-    // Interrupt moderation: a push after a quiet stream rings at once (idle
-    // wakeup latency is one futex from the append); within the coalesce
-    // window after a ring the consumer is either awake and draining or due
-    // for its bounded re-check park, so further rings would only buy context
-    // switches. Each wakeup then drains a window's worth of messages instead
-    // of one push's worth. A half-full buffer rings through the window (the
-    // NIC rx-frames companion to the rx-usecs timer): a parked consumer must
-    // not sleep out its park while a refilled lane sits ready to swap.
-    bool ring;
-    std::function<void()> hook;
-    {
-      std::lock_guard<std::mutex> lock(s.mu);
-      const std::int64_t now = SteadyMicros();
-      ring = s.wake_coalesce_us <= 0 || now - s.last_ring_us >= s.wake_coalesce_us ||
-             s.buffer.size() >= s.handoff_capacity / 2;
-      if (ring) {
-        s.last_ring_us = now;
-        hook = s.ready_hook;
-      }
-    }
-    if (ring) {
-      // Count before signalling: a consumer woken by this ring must find it
-      // in runtime.doorbell_rings.
-      if (s.rings != nullptr) {
-        s.rings->Increment();
-      }
-      s.bell.Signal();
-      if (hook) {
-        hook();  // Socket-writer handoff: nudge the event-loop consumer.
-      }
-    }
+  if (!settled) {
+    const std::int64_t now = pushed_any ? SteadyMicros() : 0;
+    std::lock_guard<std::mutex> lock(s.mu);
+    settle(now);
   }
-  std::lock_guard<std::mutex> lock(s.mu);
-  if (s.detached || s.stalled || s.broken) {
-    return;
-  }
-  // Caught up: re-arm on the shard broker. If data landed between the last
-  // fetch and here (same thread, so it cannot have), the wait would fire an
-  // immediate pump; either way no append is missed. Filtered subscriptions
-  // park on WaitForMatch, so only a matching append wakes this pump.
-  auto self = shared;
-  if (filtered) {
-    s.ticket = broker->WaitForMatch(s.interest_id, s.cursor, [self] { PumpShard(self); });
-  } else {
-    s.ticket = broker->WaitForAppend(s.topic, s.partition, s.cursor,
-                                     [self] { PumpShard(self); });
+  if (ring) {
+    // Count before signalling: a consumer woken by this ring must find it
+    // in runtime.doorbell_rings.
+    if (s.rings != nullptr) {
+      s.rings->Increment();
+    }
+    s.bell.Signal();
+    if (hook) {
+      hook();  // Socket-writer handoff: nudge the event-loop consumer.
+    }
   }
 }
 

@@ -5,11 +5,11 @@
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
+#include <algorithm>
 #include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <queue>
 #include <unordered_set>
 #include <utility>
 #include <vector>
@@ -35,7 +35,8 @@ class Simulator {
   EventId At(common::TimeMicros t, std::function<void()> fn) {
     assert(t >= now_);
     const EventId id = next_id_++;
-    queue_.push(Event{t, id, std::move(fn)});
+    queue_.push_back(Event{t, id, std::move(fn)});
+    std::push_heap(queue_.begin(), queue_.end());
     return id;
   }
 
@@ -50,8 +51,11 @@ class Simulator {
   // Runs a single event; returns false if the queue is empty.
   bool Step() {
     while (!queue_.empty()) {
-      Event ev = queue_.top();
-      queue_.pop();
+      // Move the head out rather than copy it: a copy would clone the
+      // callback and everything it captures.
+      std::pop_heap(queue_.begin(), queue_.end());
+      Event ev = std::move(queue_.back());
+      queue_.pop_back();
       if (cancelled_.erase(ev.id) > 0) {
         continue;
       }
@@ -73,10 +77,11 @@ class Simulator {
   void RunUntil(common::TimeMicros deadline) {
     while (!queue_.empty()) {
       // Skip cancelled entries at the head so we don't advance time for them.
-      const Event& head = queue_.top();
+      const Event& head = queue_.front();
       if (cancelled_.count(head.id) > 0) {
         cancelled_.erase(head.id);
-        queue_.pop();
+        std::pop_heap(queue_.begin(), queue_.end());
+        queue_.pop_back();
         continue;
       }
       if (head.time > deadline) {
@@ -97,8 +102,8 @@ class Simulator {
     EventId id;
     std::function<void()> fn;
 
-    // Later time = lower priority; ties broken by schedule order for
-    // determinism.
+    // Later time = lower priority (a max-heap on this order pops the
+    // earliest event); ties broken by schedule order for determinism.
     bool operator<(const Event& other) const {
       if (time != other.time) {
         return time > other.time;
@@ -109,7 +114,7 @@ class Simulator {
 
   common::TimeMicros now_ = 0;
   EventId next_id_ = 1;
-  std::priority_queue<Event> queue_;
+  std::vector<Event> queue_;  // Binary heap ordered by Event::operator<.
   std::unordered_set<EventId> cancelled_;
   common::Rng rng_;
 };

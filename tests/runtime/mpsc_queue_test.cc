@@ -40,7 +40,7 @@ TEST(RingContractTest, FifoSingleProducer) {
     EXPECT_TRUE(q.TryPush(int{i}));
   }
   std::vector<int> out;
-  EXPECT_EQ(q.PopBatch(out, 16), 5u);
+  EXPECT_EQ(q.TryPopBatch(out, 16), 5u);
   EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
@@ -54,11 +54,11 @@ TEST(RingContractTest, ExactCapacityAndRejectionAtTheFullEdge) {
   EXPECT_FALSE(q.TryPush(4));  // Full: loud, item untouched.
   EXPECT_FALSE(q.TryPush(5));
   std::vector<int> out;
-  EXPECT_EQ(q.PopBatch(out, 1), 1u);  // Batch bound respected: one popped.
+  EXPECT_EQ(q.TryPopBatch(out, 1), 1u);  // Batch bound respected: one popped.
   EXPECT_TRUE(q.TryPush(4));          // Exactly one slot freed.
   EXPECT_FALSE(q.TryPush(5));
   out.clear();
-  EXPECT_EQ(q.PopBatch(out, 8), 3u);
+  EXPECT_EQ(q.TryPopBatch(out, 8), 3u);
   EXPECT_EQ(out, (std::vector<int>{2, 3, 4}));
 }
 
@@ -82,9 +82,9 @@ TEST(RingContractTest, CloseDrainsRemainderThenSignalsExit) {
   EXPECT_FALSE(q.TryPush(3));
   EXPECT_FALSE(q.Push(3));
   std::vector<int> out;
-  EXPECT_EQ(q.PopBatch(out, 8), 2u);  // Remainder drains.
+  EXPECT_EQ(q.TryPopBatch(out, 8), 2u);  // Remainder drains.
   EXPECT_EQ(out, (std::vector<int>{1, 2}));
-  EXPECT_EQ(q.PopBatch(out, 8), 0u);  // Closed-and-drained.
+  EXPECT_FALSE(q.WaitForWork());  // Closed-and-drained.
 }
 
 TEST(RingContractTest, ReopenRestoresServiceAfterCloseAndDrain) {
@@ -92,15 +92,15 @@ TEST(RingContractTest, ReopenRestoresServiceAfterCloseAndDrain) {
   ASSERT_TRUE(q.TryPush(1));
   q.Close();
   std::vector<int> out;
-  ASSERT_EQ(q.PopBatch(out, 8), 1u);
-  ASSERT_EQ(q.PopBatch(out, 8), 0u);
+  ASSERT_EQ(q.TryPopBatch(out, 8), 1u);
+  ASSERT_FALSE(q.WaitForWork());
   q.Reopen();
   EXPECT_FALSE(q.closed());
   EXPECT_TRUE(q.TryPush(7));  // The Stop→Start cycle of a ShardPool.
   EXPECT_TRUE(q.TryPush(8));
   EXPECT_FALSE(q.TryPush(9));  // Capacity intact across the cycle.
   out.clear();
-  EXPECT_EQ(q.PopBatch(out, 8), 2u);
+  EXPECT_EQ(q.TryPopBatch(out, 8), 2u);
   EXPECT_EQ(out, (std::vector<int>{7, 8}));
 }
 
@@ -118,7 +118,7 @@ TEST(RingContractTest, TryPushBatchIsAllOrNothing) {
   EXPECT_FALSE(q.TryPushBatch(oversized, 8));  // n > capacity can never fit.
   EXPECT_TRUE(q.TryPushBatch(nullptr, 0));     // Empty batch is a no-op.
   std::vector<int> out;
-  EXPECT_EQ(q.PopBatch(out, 8), 4u);
+  EXPECT_EQ(q.TryPopBatch(out, 8), 4u);
   EXPECT_EQ(out, (std::vector<int>{1, 2, 3, 4}));  // Batch order preserved.
   q.Close();
   int after[] = {9};
@@ -138,11 +138,11 @@ TEST(RingContractTest, BlockingPushWaitsForSpace) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(pushed.load());  // Parked on the full edge.
   std::vector<int> out;
-  EXPECT_EQ(q.PopBatch(out, 1), 1u);
+  EXPECT_EQ(q.TryPopBatch(out, 1), 1u);
   producer.join();
   EXPECT_TRUE(pushed.load());
   out.clear();
-  EXPECT_EQ(q.PopBatch(out, 8), 2u);
+  EXPECT_EQ(q.TryPopBatch(out, 8), 2u);
   EXPECT_EQ(out, (std::vector<int>{1, 2}));
 }
 
@@ -159,17 +159,16 @@ TEST(RingContractTest, CloseWakesBlockedProducer) {
   producer.join();
   // The accepted items survived the rejected push and the close.
   std::vector<int> out;
-  EXPECT_EQ(q.PopBatch(out, 8), 2u);
+  EXPECT_EQ(q.TryPopBatch(out, 8), 2u);
   EXPECT_EQ(out, (std::vector<int>{0, 1}));
-  EXPECT_EQ(q.PopBatch(out, 8), 0u);
+  EXPECT_FALSE(q.WaitForWork());
 }
 
 TEST(RingContractTest, CloseWakesParkedConsumer) {
   MpscQueue<int> q(2);
   std::thread consumer([&] {
-    std::vector<int> out;
     // Empty and open: parks until the close wake, then reports drained.
-    EXPECT_EQ(q.PopBatch(out, 8), 0u);
+    EXPECT_FALSE(q.WaitForWork());
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(10));
   q.Close();
@@ -190,11 +189,9 @@ TEST(RingContractTest, EightProducerStressExactAccountingAndFifo) {
   std::vector<std::vector<int>> drained(kProducers);
   std::thread consumer([&] {
     std::vector<std::pair<int, int>> batch;
-    while (true) {
+    while (q.WaitForWork()) {
       batch.clear();
-      if (q.PopBatch(batch, 128) == 0) {
-        break;
-      }
+      q.TryPopBatch(batch, 128);
       for (const auto& [producer, seq] : batch) {
         drained[static_cast<std::size_t>(producer)].push_back(seq);
       }
@@ -252,11 +249,9 @@ TEST(RingContractTest, ConcurrentBatchClaimsStayContiguous) {
   std::vector<std::vector<int>> drained(kProducers);
   std::thread consumer([&] {
     std::vector<std::pair<int, int>> batch;
-    while (true) {
+    while (q.WaitForWork()) {
       batch.clear();
-      if (q.PopBatch(batch, 128) == 0) {
-        break;
-      }
+      q.TryPopBatch(batch, 128);
       for (const auto& [producer, seq] : batch) {
         drained[static_cast<std::size_t>(producer)].push_back(seq);
       }
@@ -326,8 +321,7 @@ class ModelRing {
     items_.insert(items_.end(), items, items + n);
     return true;
   }
-  // Never called empty-and-open (the script skips that case).
-  std::size_t PopBatch(std::vector<int>& out, std::size_t max) {
+  std::size_t TryPopBatch(std::vector<int>& out, std::size_t max) {
     std::size_t popped = 0;
     for (; popped < max && !items_.empty(); ++popped) {
       out.push_back(items_.front());
@@ -348,7 +342,7 @@ class ModelRing {
 
 // Drives one queue through a fixed op script and records everything externally
 // observable: accept/reject of each push, the exact drained values of each
-// PopBatch, and size/closed probes. Single-threaded, so blocking ops are
+// TryPopBatch, and size/closed probes. Single-threaded, so blocking ops are
 // excluded and the trace is fully deterministic.
 template <typename Queue>
 std::vector<std::string> RunScript(Queue& q, std::uint32_t seed, int ops) {
@@ -378,17 +372,10 @@ std::vector<std::string> RunScript(Queue& q, std::uint32_t seed, int ops) {
         break;
       }
       case 6:
-      case 7: {  // PopBatch of 1..6.
+      case 7: {  // TryPopBatch of 1..6 (pops 0 on an empty ring).
         const std::size_t max = 1 + rng.Below(6);
-        // PopBatch blocks while empty-and-open; single-threaded, that would
-        // deadlock. The skip decision depends only on trace-identical state
-        // (size/closed), so ring and model skip the same ops.
-        if (q.size() == 0 && !q.closed()) {
-          trace.push_back("pop skipped");
-          break;
-        }
         std::vector<int> out;
-        const std::size_t popped = q.PopBatch(out, max);
+        const std::size_t popped = q.TryPopBatch(out, max);
         std::string line = "pop " + std::to_string(popped) + ":";
         for (int v : out) {
           line += " " + std::to_string(v);
@@ -447,13 +434,13 @@ TEST(MpscRegressionTest, DrainedSlotReleasesCapturedTaskState) {
   ASSERT_TRUE(q.TryPush(StickyTask(std::move(payload))));
 
   std::vector<StickyTask> out;
-  ASSERT_EQ(q.PopBatch(out, 4), 1u);
+  ASSERT_EQ(q.TryPopBatch(out, 4), 1u);
   ASSERT_TRUE(observer.lock() != nullptr);  // The drained copy holds it...
   out.clear();                              // ...until the consumer is done.
 
   // Without the slot reset, the ring slot would still hold a copy of the
   // capture, keeping it alive until some later push overwrote the slot — on
-  // an idle queue, arbitrarily long. PopBatch resets drained slots to T{}.
+  // an idle queue, arbitrarily long. TryPopBatch resets drained slots to T{}.
   EXPECT_TRUE(observer.expired());
 }
 
@@ -471,7 +458,7 @@ struct MoveCounted {
 };
 int MoveCounted::move_ctors = 0;
 
-TEST(MpscRegressionTest, PopBatchReservesOnceAndNeverReallocatesMidDrain) {
+TEST(MpscRegressionTest, TryPopBatchReservesOnceAndNeverReallocatesMidDrain) {
   constexpr std::size_t kN = 64;
   MpscQueue<MoveCounted> q(kN);
   for (std::size_t i = 0; i < kN; ++i) {
@@ -483,9 +470,9 @@ TEST(MpscRegressionTest, PopBatchReservesOnceAndNeverReallocatesMidDrain) {
   // constructing every element again on each reallocation (63 extra moves).
   std::vector<MoveCounted> out;
   MoveCounted::move_ctors = 0;
-  ASSERT_EQ(q.PopBatch(out, kN), kN);
+  ASSERT_EQ(q.TryPopBatch(out, kN), kN);
   EXPECT_EQ(MoveCounted::move_ctors, static_cast<int>(kN))
-      << "PopBatch reallocated the output vector mid-drain (inside the "
+      << "TryPopBatch reallocated the output vector mid-drain (inside the "
          "critical section) instead of reserving up front";
   EXPECT_GE(out.capacity(), kN);
 }
@@ -497,7 +484,7 @@ TEST(MpscQueueTest, FifoSingleProducer) {
     EXPECT_TRUE(q.TryPush(int{i}));
   }
   std::vector<int> out;
-  EXPECT_EQ(q.PopBatch(out, 16), 5u);
+  EXPECT_EQ(q.TryPopBatch(out, 16), 5u);
   EXPECT_EQ(out, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
@@ -508,11 +495,11 @@ TEST(MpscQueueTest, TryPushFailsWhenFullAndRecovers) {
   EXPECT_TRUE(q.TryPush(2));
   EXPECT_FALSE(q.TryPush(3));  // The backpressure edge.
   std::vector<int> out;
-  EXPECT_EQ(q.PopBatch(out, 1), 1u);  // Batch bound respected: one popped.
+  EXPECT_EQ(q.TryPopBatch(out, 1), 1u);  // Batch bound respected: one popped.
   EXPECT_EQ(out, std::vector<int>{1});
   EXPECT_TRUE(q.TryPush(3));  // Space freed.
   out.clear();
-  EXPECT_EQ(q.PopBatch(out, 8), 2u);
+  EXPECT_EQ(q.TryPopBatch(out, 8), 2u);
   EXPECT_EQ(out, (std::vector<int>{2, 3}));
 }
 
@@ -525,8 +512,8 @@ TEST(MpscQueueTest, CloseDrainsRemainderThenSignalsExit) {
   EXPECT_FALSE(q.TryPush(3));
   EXPECT_FALSE(q.Push(3));
   std::vector<int> out;
-  EXPECT_EQ(q.PopBatch(out, 8), 2u);  // Remainder drains.
-  EXPECT_EQ(q.PopBatch(out, 8), 0u);  // Closed-and-drained: consumer exits.
+  EXPECT_EQ(q.TryPopBatch(out, 8), 2u);  // Remainder drains.
+  EXPECT_FALSE(q.WaitForWork());  // Closed-and-drained: consumer exits.
 }
 
 TEST(MpscQueueTest, BlockingPushWaitsForSpace) {
@@ -542,11 +529,11 @@ TEST(MpscQueueTest, BlockingPushWaitsForSpace) {
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(pushed.load());
   std::vector<int> out;
-  EXPECT_EQ(q.PopBatch(out, 1), 1u);
+  EXPECT_EQ(q.TryPopBatch(out, 1), 1u);
   producer.join();
   EXPECT_TRUE(pushed.load());
   out.clear();
-  EXPECT_EQ(q.PopBatch(out, 1), 1u);
+  EXPECT_EQ(q.TryPopBatch(out, 1), 1u);
   EXPECT_EQ(out, std::vector<int>{1});
 }
 
@@ -571,13 +558,9 @@ TEST(MpscQueueTest, MultiProducerExactCountAndPerProducerFifo) {
   std::thread consumer([&] {
     std::vector<std::pair<int, int>> batch;
     std::size_t total = 0;
-    while (true) {
+    while (q.WaitForWork()) {
       batch.clear();
-      const std::size_t n = q.PopBatch(batch, 128);
-      if (n == 0) {
-        break;
-      }
-      total += n;
+      total += q.TryPopBatch(batch, 128);
       for (const auto& [producer, seq] : batch) {
         drained[static_cast<std::size_t>(producer)].push_back(seq);
       }
